@@ -8,6 +8,7 @@ Maximal runs of non-match operations are then merged into Edits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from gectools.errors import OverlappingEdits, SpanOutOfBounds
@@ -48,6 +49,19 @@ class CostParams:
 DEFAULT_COSTS = CostParams()
 
 
+def _annotation_cost(a: Token, b: Token, params: CostParams) -> float:
+    """Lemma and UPOS part of the substitution cost of two different forms."""
+    if a.lemma is None or b.lemma is None:
+        lemma_term = 0.5
+    else:
+        lemma_term = 1.0 if a.lemma != b.lemma else 0.0
+    if a.upos is None or b.upos is None:
+        pos_term = 0.5
+    else:
+        pos_term = 1.0 if a.upos != b.upos else 0.0
+    return params.w_lemma * lemma_term + params.w_pos * pos_term
+
+
 def sub_cost(a: Token, b: Token, params: CostParams = DEFAULT_COSTS) -> float:
     """Substitution cost between two tokens.
 
@@ -60,16 +74,8 @@ def sub_cost(a: Token, b: Token, params: CostParams = DEFAULT_COSTS) -> float:
     """
     if a.form == b.form:
         return 0.0
-    if a.lemma is None or b.lemma is None:
-        lemma_term = 0.5
-    else:
-        lemma_term = 1.0 if a.lemma != b.lemma else 0.0
-    if a.upos is None or b.upos is None:
-        pos_term = 0.5
-    else:
-        pos_term = 1.0 if a.upos != b.upos else 0.0
     char_term = dl_distance(a.form, b.form) / max(len(a.form), len(b.form))
-    return params.w_lemma * lemma_term + params.w_pos * pos_term + params.w_char * char_term
+    return _annotation_cost(a, b, params) + params.w_char * char_term
 
 
 @dataclass(frozen=True)
@@ -88,51 +94,91 @@ class AlignOp:
     c_index: int
 
 
+def _border_steps_exact(cost: float, count: int) -> bool:
+    """True when no border cell k * cost of the alignment table exceeds
+    the cell before it plus cost.
+
+    Matching the common suffix outright relies on this.  It holds for
+    whole-number costs, but float rounding breaks it for some others
+    (6 * 0.1 > 5 * 0.1 + 0.1).
+    """
+    return all(k * cost <= (k - 1) * cost + cost for k in range(2, count + 1))
+
+
 def align(orig: Sentence, corr: Sentence, params: CostParams = DEFAULT_COSTS) -> list[AlignOp]:
     """Minimum-cost alignment path between two sentences.
 
     Ties are broken by preferring match > substitute > transpose >
     delete > insert, which makes the result deterministic.
+
+    Two shortcuts leave the path unchanged.  The common suffix is matched
+    outright: when the last tokens match, the last cell of the table
+    backtraces as a match, so the full table would walk that suffix
+    diagonally too (given _border_steps_exact; otherwise nothing is
+    trimmed).  The prefix is not trimmed: tie-breaks would then pick
+    different tokens, as in ``a -> a a b``, where the table inserts the
+    first ``a``.  And sub_cost, with its character distance, is only
+    computed when a lower bound on the substitution does not already
+    lose to transpose, delete or insert: the distance between two
+    different forms is at least 1 and at least their length difference,
+    and float rounding is monotone, so the bound never exceeds the cost
+    it stands for.
     """
-    n, m = len(orig), len(corr)
     o_toks, c_toks = orig.tokens, corr.tokens
+    n, m = len(o_toks), len(c_toks)
+    suffix = 0
+    trim = _border_steps_exact(params.delete_cost, n) and _border_steps_exact(params.insert_cost, m)
+    while trim and suffix < min(n, m) and o_toks[n - 1 - suffix].form == c_toks[m - 1 - suffix].form:
+        suffix += 1
+    n -= suffix
+    m -= suffix
+    o_forms = [t.form for t in o_toks[:n]]
+    c_forms = [t.form for t in c_toks[:m]]
+    w_char, transpose_cost = params.w_char, params.transpose_cost
+    delete_cost, insert_cost = params.delete_cost, params.insert_cost
 
     dist = [[0.0] * (m + 1) for _ in range(n + 1)]
     op = [[""] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
-        dist[i][0] = i * params.delete_cost
+        dist[i][0] = i * delete_cost
         op[i][0] = DELETE
     for j in range(1, m + 1):
-        dist[0][j] = j * params.insert_cost
+        dist[0][j] = j * insert_cost
         op[0][j] = INSERT
 
     for i in range(1, n + 1):
-        a = o_toks[i - 1]
+        a_form = o_forms[i - 1]
+        a_len = len(a_form)
+        prev_row, row, op_row = dist[i - 1], dist[i], op[i]
         for j in range(1, m + 1):
-            b = c_toks[j - 1]
-            if a.form == b.form:
-                best_cost = dist[i - 1][j - 1]
-                best_kind = MATCH
+            b_form = c_forms[j - 1]
+            diag = prev_row[j - 1]
+            if a_form == b_form:
+                best_cost, best_kind = diag, MATCH
             else:
-                best_cost = dist[i - 1][j - 1] + sub_cost(a, b, params)
-                best_kind = SUBSTITUTE
-            if (
-                i > 1
-                and j > 1
-                and a.form == c_toks[j - 2].form
-                and o_toks[i - 2].form == b.form
-            ):
-                cand = dist[i - 2][j - 2] + params.transpose_cost
+                best_cost, best_kind = math.inf, SUBSTITUTE  # priced below
+            if i > 1 and j > 1 and a_form == c_forms[j - 2] and o_forms[i - 2] == b_form:
+                cand = dist[i - 2][j - 2] + transpose_cost
                 if cand < best_cost:
                     best_cost, best_kind = cand, TRANSPOSE
-            cand = dist[i - 1][j] + params.delete_cost
+            cand = prev_row[j] + delete_cost
             if cand < best_cost:
                 best_cost, best_kind = cand, DELETE
-            cand = dist[i][j - 1] + params.insert_cost
+            cand = row[j - 1] + insert_cost
             if cand < best_cost:
                 best_cost, best_kind = cand, INSERT
-            dist[i][j] = best_cost
-            op[i][j] = best_kind
+            # A substitution wins ties with the kinds tried above.
+            if a_form != b_form and diag <= best_cost:
+                a, b = o_toks[i - 1], c_toks[j - 1]
+                b_len = len(b_form)
+                gap = abs(a_len - b_len) or 1
+                bound = _annotation_cost(a, b, params) + w_char * (gap / max(a_len, b_len))
+                if diag + bound <= best_cost:
+                    cand = diag + sub_cost(a, b, params)
+                    if cand <= best_cost:
+                        best_cost, best_kind = cand, SUBSTITUTE
+            row[j] = best_cost
+            op_row[j] = best_kind
 
     path: list[AlignOp] = []
     i, j = n, m
@@ -150,6 +196,7 @@ def align(orig: Sentence, corr: Sentence, params: CostParams = DEFAULT_COSTS) ->
             j -= 1
         path.append(AlignOp(kind, i, j))
     path.reverse()
+    path.extend(AlignOp(MATCH, n + k, m + k) for k in range(suffix))
     return path
 
 

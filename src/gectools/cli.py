@@ -5,9 +5,10 @@ Subcommands cover the full pipeline: edit extraction (extract), scoring
 error generation (synth), language-model training and scoring (lm-train,
 lm-score) and n-best re-ranking (rerank).
 
-Exit codes: 0 on success, 1 on data errors (malformed or inconsistent
-input files), 2 on usage errors, including paired inputs whose lengths
-do not match.
+Exit codes: 0 on success, 1 on data errors (malformed, inconsistent or
+non-UTF-8 input files), 2 on usage errors, including out-of-range
+option values and paired inputs whose lengths do not match.  Either
+error is reported as one line starting with "error:".
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from gectools import lm as lm_mod
 from gectools import synth as synth_mod
 from gectools.align import extract_edits
 from gectools.classify import classify_all
-from gectools.errors import GecToolsError, LengthMismatch
+from gectools.errors import GecToolsError, InvalidEncoding, LengthMismatch
 from gectools.lexicon import Lexicon
 from gectools.m2 import read_m2, write_m2
 from gectools.score import corpus_stats, format_stats, score_corpus
@@ -31,13 +32,21 @@ from gectools.text import parse_conllu, render, tokenize
 log = logging.getLogger("gectools")
 
 
+class UsageError(GecToolsError):
+    """A command-line value is outside the range its command accepts."""
+
+
 @contextlib.contextmanager
 def _open_in(path: str) -> Iterator[IO[str]]:
-    if path == "-":
-        yield sys.stdin
-    else:
-        with open(path, encoding="utf-8") as fh:
-            yield fh
+    """Input file ('-' for stdin); a decode error while it is read names it."""
+    try:
+        if path == "-":
+            yield sys.stdin
+        else:
+            with open(path, encoding="utf-8") as fh:
+                yield fh
+    except UnicodeDecodeError as exc:
+        raise InvalidEncoding("<stdin>" if path == "-" else path, exc) from exc
 
 
 @contextlib.contextmanager
@@ -178,6 +187,8 @@ def cmd_synth(args) -> int:
 
 def cmd_lm_train(args) -> int:
     log.info("lm-train: input=%s order=%d discount=%s output=%s", args.input, args.order, args.discount, args.output)
+    if args.order < 1:
+        raise UsageError(f"--order must be at least 1, got {args.order}")
 
     def sentences():
         with _open_in(args.input) as fh:
@@ -315,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except LengthMismatch as exc:
+    except (LengthMismatch, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GecToolsError as exc:

@@ -9,12 +9,22 @@ class EmptyInput(GecToolsError):
     """Raised when an operation receives empty input it cannot act on."""
 
 
+class InvalidEncoding(GecToolsError):
+    """An input file is not valid UTF-8."""
+
+    def __init__(self, path, exc: UnicodeDecodeError):
+        super().__init__(f"{path}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x})")
+        self.path = path
+
+
 class MalformedLine(GecToolsError):
     """A line of an input file does not match the expected format."""
 
-    def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no, message, path=None):
+        where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
+        super().__init__(f"{where}: {message}")
         self.line_no = line_no
+        self.path = path
 
 
 class MalformedM2(MalformedLine):
@@ -23,6 +33,10 @@ class MalformedM2(MalformedLine):
 
 class MalformedArpa(MalformedLine):
     """An ARPA language-model file is structurally invalid."""
+
+
+class MalformedLexicon(MalformedLine):
+    """A lexicon line is not a word with an optional integer frequency."""
 
 
 class LengthMismatch(GecToolsError):

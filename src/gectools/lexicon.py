@@ -7,6 +7,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
+from gectools.errors import EmptyInput, InvalidEncoding, MalformedLexicon
+
 
 @dataclass(frozen=True)
 class Lexicon:
@@ -30,21 +32,35 @@ class Lexicon:
         """Load a lexicon from a text file.
 
         One word per line; an optional tab-separated integer after the
-        word is taken as its frequency.
+        word is taken as its frequency.  Raises InvalidEncoding,
+        MalformedLexicon or EmptyInput for a file that is not UTF-8, has
+        a frequency that is not an integer, or holds no word.
         """
         words: list[str] = []
         freqs: dict[str, int] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                word, _, count = line.partition("\t")
-                word = word.lower()
-                words.append(word)
-                if count.strip():
-                    freqs[word] = freqs.get(word, 0) + int(count)
-        return cls.from_words(words, freqs)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for line_no, line in enumerate(fh, 1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    word, _, count = line.partition("\t")
+                    word = word.lower()
+                    words.append(word)
+                    if count.strip():
+                        try:
+                            freq = int(count)
+                        except ValueError:
+                            raise MalformedLexicon(
+                                line_no, f"frequency {count.strip()!r} is not an integer", path
+                            ) from None
+                        freqs[word] = freqs.get(word, 0) + freq
+        except UnicodeDecodeError as exc:
+            raise InvalidEncoding(path, exc) from exc
+        if not words:
+            raise EmptyInput(f"{path}: lexicon has no words")
+        # Words are lowercased, stripped and non-empty already.
+        return cls(words=frozenset(words), frequencies=freqs)
 
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.words

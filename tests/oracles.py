@@ -160,6 +160,74 @@ def ref_align_cost(orig, corr, params=REF_PARAMS) -> float:
     return rec(0, 0)
 
 
+def ref_align_path(orig, corr, params=REF_PARAMS) -> list[tuple[str, int, int]]:
+    """Minimum-cost alignment path as (kind, o_index, c_index) triples.
+
+    The full table with no shortcuts: every non-matching cell priced
+    with the reference substitution cost, ties broken match > substitute
+    > transpose > delete > insert.  The package aligner trims the common
+    suffix and skips substitutions that cannot win, and must still give
+    this path op for op.
+    """
+    n, m = len(orig), len(corr)
+    o_toks, c_toks = list(orig), list(corr)
+
+    dist = [[0.0] * (m + 1) for _ in range(n + 1)]
+    op = [[""] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        dist[i][0] = i * params.delete_cost
+        op[i][0] = "delete"
+    for j in range(1, m + 1):
+        dist[0][j] = j * params.insert_cost
+        op[0][j] = "insert"
+
+    for i in range(1, n + 1):
+        a = o_toks[i - 1]
+        for j in range(1, m + 1):
+            b = c_toks[j - 1]
+            if a.form == b.form:
+                best_cost = dist[i - 1][j - 1]
+                best_kind = "match"
+            else:
+                best_cost = dist[i - 1][j - 1] + ref_sub_cost(a, b, params)
+                best_kind = "substitute"
+            if (
+                i > 1
+                and j > 1
+                and a.form == c_toks[j - 2].form
+                and o_toks[i - 2].form == b.form
+            ):
+                cand = dist[i - 2][j - 2] + params.transpose_cost
+                if cand < best_cost:
+                    best_cost, best_kind = cand, "transpose"
+            cand = dist[i - 1][j] + params.delete_cost
+            if cand < best_cost:
+                best_cost, best_kind = cand, "delete"
+            cand = dist[i][j - 1] + params.insert_cost
+            if cand < best_cost:
+                best_cost, best_kind = cand, "insert"
+            dist[i][j] = best_cost
+            op[i][j] = best_kind
+
+    path = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        kind = op[i][j]
+        if kind in ("match", "substitute"):
+            i -= 1
+            j -= 1
+        elif kind == "transpose":
+            i -= 2
+            j -= 2
+        elif kind == "delete":
+            i -= 1
+        else:
+            j -= 1
+        path.append((kind, i, j))
+    path.reverse()
+    return path
+
+
 # --- Kneser-Ney (direct interpolation over adjusted counts) ----------------
 
 SOS, EOS, UNK = "<s>", "</s>", "<unk>"

@@ -20,7 +20,7 @@ from gectools.align import (
 )
 from gectools.errors import OverlappingEdits, SpanOutOfBounds
 from gectools.text import Sentence, Token
-from tests.oracles import path_cost, ref_align_cost, ref_sub_cost
+from tests.oracles import path_cost, ref_align_cost, ref_align_path, ref_sub_cost
 
 
 def sent(*forms, annot=None):
@@ -120,6 +120,42 @@ class TestAlign:
         got = path_cost(ops, orig, corr)
         expect = ref_align_cost(orig, corr)
         assert got == pytest.approx(expect, abs=1e-9)
+
+
+# Forms prone to transpositions, ties and near-equal substitution costs.
+_TIE_TOKENS = st.builds(
+    Token,
+    form=st.sampled_from(["a", "ab", "ba", "abc", "aa", ".", ","]),
+    lemma=st.sampled_from([None, "a", "b"]),
+    upos=st.sampled_from([None, "NOUN", "VERB"]),
+)
+# Indel costs that are not whole numbers (7 * 0.3 > 6 * 0.3 + 0.3 in
+# floats) next to the defaults, which are.
+_PATH_PARAMS = (
+    CostParams(),
+    CostParams(w_lemma=0.3, w_pos=0.45, w_char=0.2, insert_cost=0.3, delete_cost=0.7, transpose_cost=0.5),
+)
+
+
+class TestAlignPath:
+    @given(
+        a=st.lists(_TIE_TOKENS, max_size=9),
+        b=st.lists(_TIE_TOKENS, max_size=9),
+        params=st.sampled_from(_PATH_PARAMS),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_full_table(self, a, b, params):
+        orig, corr = Sentence(tuple(a)), Sentence(tuple(b))
+        got = [(op.kind, op.o_index, op.c_index) for op in align(orig, corr, params)]
+        assert got == ref_align_path(orig, corr, params)
+
+    def test_common_prefix_is_not_matched_outright(self):
+        ops = align(sent("a"), sent("a", "a", "b"))
+        assert [(op.kind, op.o_index, op.c_index) for op in ops] == [
+            (INSERT, 0, 0),
+            (MATCH, 0, 1),
+            (INSERT, 1, 2),
+        ]
 
 
 class TestMergeAndExtract:

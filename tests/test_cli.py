@@ -222,6 +222,55 @@ class TestLmAndRerank:
         assert main(["lm-score", bad, inp]) == 1
 
 
+CLEAN = "Ana are mere și pere în coșul cel mare de acasă .\n"
+LATIN1 = "Ana are caf\xe9 .\n".encode("latin-1")
+
+# (name, {file name: content}, argv naming those files, exit code,
+#  text the error line must contain)
+BAD_INPUTS = [
+    ("synth-latin1", {"in.txt": LATIN1, "lex.txt": "casa\n"},
+     ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1"], 1, "not valid UTF-8"),
+    ("synth-latin1-jobs2", {"in.txt": LATIN1, "lex.txt": "casa\n"},
+     ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1", "--jobs", "2"], 1, "not valid UTF-8"),
+    ("extract-latin1", {"o.txt": LATIN1, "c.txt": CLEAN},
+     ["extract", "o.txt", "c.txt"], 1, "not valid UTF-8"),
+    ("lm-train-latin1", {"in.txt": LATIN1}, ["lm-train", "in.txt"], 1, "not valid UTF-8"),
+    ("lexicon-bad-frequency", {"in.txt": CLEAN, "lex.txt": "casa\t3\nmasa\tx\n"},
+     ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1"], 1, "line 2: frequency 'x'"),
+    ("lexicon-empty", {"in.txt": CLEAN, "lex.txt": "\n"},
+     ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1"], 1, "no words"),
+    ("lm-train-order-0", {"in.txt": CLEAN}, ["lm-train", "in.txt", "--order", "0"], 2, "--order"),
+]
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize(
+        "files_in, argv, code, needle",
+        [row[1:] for row in BAD_INPUTS],
+        ids=[row[0] for row in BAD_INPUTS],
+    )
+    def test_one_error_line(self, tmp_path, files_in, argv, code, needle):
+        paths = {}
+        for name, content in files_in.items():
+            path = tmp_path / name
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content, encoding="utf-8")
+            paths[name] = str(path)
+        argv = [paths.get(arg, arg) for arg in argv]
+        result = subprocess.run(
+            [sys.executable, "-m", "gectools.cli", *argv, "-o", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == code, result.stderr
+        assert "Traceback" not in result.stderr
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, result.stderr
+        assert needle in errors[0]
+
+
 class TestEntryPoint:
     def test_console_script_runs(self):
         result = subprocess.run(
