@@ -7,15 +7,21 @@ lm-score) and n-best re-ranking (rerank).
 
 Exit codes: 0 on success, 1 on data errors (malformed, inconsistent or
 non-UTF-8 input files), 2 on usage errors, including out-of-range
-option values and paired inputs whose lengths do not match.  Either
-error is reported as one line starting with "error:".
+option values and paired inputs that do not pair up (their lengths, or
+the sentences at one position, differ).  Either error is reported as
+one line starting with "error:".  An output file given with -o is
+replaced only when the command succeeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
+import io
 import logging
+import os
+import shutil
 import sys
 from typing import IO, Iterator
 
@@ -23,7 +29,13 @@ from gectools import lm as lm_mod
 from gectools import synth as synth_mod
 from gectools.align import extract_edits
 from gectools.classify import classify_all
-from gectools.errors import GecToolsError, InvalidEncoding, LengthMismatch
+from gectools.errors import (
+    GecToolsError,
+    InvalidEncoding,
+    LengthMismatch,
+    MalformedLine,
+    SentenceMismatch,
+)
 from gectools.lexicon import Lexicon
 from gectools.m2 import read_m2, write_m2
 from gectools.score import corpus_stats, format_stats, score_corpus
@@ -38,24 +50,78 @@ class UsageError(GecToolsError):
 
 @contextlib.contextmanager
 def _open_in(path: str) -> Iterator[IO[str]]:
-    """Input file ('-' for stdin); a decode error while it is read names it."""
+    """Input file ('-' for stdin), read as strict UTF-8.
+
+    A decode error, or a MalformedLine without a path, raised while the
+    file is read is raised again naming the file.
+    """
+    name = "<stdin>" if path == "-" else path
     try:
-        if path == "-":
-            yield sys.stdin
-        else:
+        if path != "-":
             with open(path, encoding="utf-8") as fh:
                 yield fh
+        elif getattr(sys.stdin, "buffer", None) is None:
+            yield sys.stdin
+        else:
+            # sys.stdin itself decodes with surrogateescape under a POSIX
+            # locale, which lets bad bytes through to fail at output.
+            stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+            try:
+                yield stdin
+            finally:
+                stdin.detach()
     except UnicodeDecodeError as exc:
-        raise InvalidEncoding("<stdin>" if path == "-" else path, exc) from exc
+        raise InvalidEncoding(name, exc) from exc
+    except MalformedLine as exc:
+        if exc.path is not None:
+            raise
+        raise type(exc)(exc.line_no, exc.message, name) from exc
+
+
+def _create_beside(target: str) -> tuple[int, str]:
+    """A new file in target's directory, created as open(..., "w") would."""
+    directory, name = os.path.split(target)
+    while True:
+        tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
 
 
 @contextlib.contextmanager
 def _open_out(path: str | None) -> Iterator[IO[str]]:
+    """Output file (None or '-' for stdout).
+
+    A regular file is written under a temporary name beside it and moved
+    over it only when the command succeeds, so a failed run leaves an
+    earlier file as it was.  A target that exists and is not a regular
+    file, such as /dev/stdout, is written in place.
+    """
     if path is None or path == "-":
         yield sys.stdout
-    else:
+        return
+    exists = os.path.exists(path)
+    if exists and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
+        return
+    target = os.path.realpath(path)
+    if exists and not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    try:
+        fd, tmp = _create_beside(target)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        if exists:
+            shutil.copymode(target, tmp)
+        with open(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_sentences(path: str, conllu: bool):
@@ -95,6 +161,12 @@ def cmd_score(args) -> int:
         hyp = read_m2(fh)
     if len(ref) != len(hyp):
         raise LengthMismatch(f"{args.ref} has {len(ref)} sentences, {args.hyp} has {len(hyp)}")
+    for i, ((ref_sentence, _), (hyp_sentence, _)) in enumerate(zip(ref, hyp), start=1):
+        if ref_sentence.forms != hyp_sentence.forms:
+            raise SentenceMismatch(
+                f"sentence {i} differs: {args.ref} has {' '.join(ref_sentence.forms)!r}, "
+                f"{args.hyp} has {' '.join(hyp_sentence.forms)!r}"
+            )
     report = score_corpus([edits for _, edits in ref], [edits for _, edits in hyp], beta=args.beta)
     print(f"TP {report.tp}  FP {report.fp}  FN {report.fn}")
     print(
@@ -326,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (LengthMismatch, UsageError) as exc:
+    except (LengthMismatch, SentenceMismatch, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GecToolsError as exc:

@@ -24,6 +24,7 @@ class MalformedLine(GecToolsError):
         where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
         super().__init__(f"{where}: {message}")
         self.line_no = line_no
+        self.message = message
         self.path = path
 
 
@@ -41,6 +42,10 @@ class MalformedLexicon(MalformedLine):
 
 class LengthMismatch(GecToolsError):
     """Paired inputs (files, sentence lists) differ in length."""
+
+
+class SentenceMismatch(GecToolsError):
+    """Paired inputs hold different sentences at the same position."""
 
 
 class OverlappingEdits(GecToolsError):

@@ -19,8 +19,10 @@ over the vocabulary minus <s>.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from typing import IO, Iterable, Sequence
 
 from gectools.errors import DegenerateCounts, EmptyInput, MalformedArpa, MalformedLine
@@ -110,17 +112,19 @@ def _estimate_discount(adjusted: dict[tuple[str, ...], int], n: int) -> float:
 class ArpaModel:
     """A backoff n-gram model in memory.
 
-    tables[n-1] maps each n-gram to (log10 probability, log10 backoff
-    weight); the backoff weight is 0.0 for grams that never serve as a
-    context and for grams of the highest order.
+    tables[n-1] maps each n-gram, written as its words joined by single
+    spaces exactly as in an ARPA file ("<s> ea merge"), to (log10
+    probability, log10 backoff weight); the backoff weight is 0.0 for
+    grams that never serve as a context and for grams of the highest
+    order.  Words contain no space.
     """
 
     order: int
-    tables: tuple[dict[tuple[str, ...], tuple[float, float]], ...]
+    tables: tuple[dict[str, tuple[float, float]], ...]
 
     @property
     def vocab(self) -> frozenset[str]:
-        return frozenset(gram[0] for gram in self.tables[0])
+        return frozenset(self.tables[0])
 
     def word_logprob(self, word: str, context: tuple[str, ...]) -> float:
         """log10 P(word | context), backing off as needed.
@@ -129,17 +133,20 @@ class ArpaModel:
         out-of-vocabulary words must already be mapped to <unk>.
         """
         acc = 0.0
+        n = len(context)
+        ctx = " ".join(context)
         while True:
-            entry = self.tables[len(context)].get(context + (word,))
+            entry = self.tables[n].get(f"{ctx} {word}" if n else word)
             if entry is not None:
                 return acc + entry[0]
-            if not context:
-                unk = self.tables[0].get((UNK,))
+            if not n:
+                unk = self.tables[0].get(UNK)
                 return acc + (unk[0] if unk is not None else DUMMY_LOGPROB)
-            ctx_entry = self.tables[len(context) - 1].get(context)
+            ctx_entry = self.tables[n - 1].get(ctx)
             if ctx_entry is not None:
                 acc += ctx_entry[1]
-            context = context[1:]
+            ctx = ctx.partition(" ")[2]
+            n -= 1
 
 
 def train_kneser_ney(
@@ -170,7 +177,7 @@ def train_kneser_ney(
             if not 0.0 < d < 1.0:
                 raise ValueError(f"discount must lie strictly between 0 and 1, got {d}")
 
-    tables: list[dict[tuple[str, ...], tuple[float, float]]] = [dict() for _ in range(order)]
+    tables: list[dict[str, tuple[float, float]]] = [dict() for _ in range(order)]
     gammas: list[dict[tuple[str, ...], float]] = [dict() for _ in range(order)]
 
     # Unigrams: leftover mass goes to <unk>.
@@ -178,10 +185,10 @@ def train_kneser_ney(
     total = sum(adjusted[0].values())
     n1plus = len(adjusted[0])
     gamma_empty = d1 * n1plus / total
-    probs: dict[tuple[str, ...], float] = {
-        gram: (c - d1) / total for gram, c in adjusted[0].items()
+    probs: dict[str, float] = {
+        gram[0]: (c - d1) / total for gram, c in adjusted[0].items()
     }
-    probs[(UNK,)] = probs.get((UNK,), 0.0) + gamma_empty
+    probs[UNK] = probs.get(UNK, 0.0) + gamma_empty
     for gram, p in probs.items():
         tables[0][gram] = (math.log10(p), 0.0)
 
@@ -199,27 +206,34 @@ def train_kneser_ney(
         for gram, c in adjusted[n - 1].items():
             ctx = gram[:-1]
             den = ctx_total[ctx]
-            # Suffix closure: the next-lower-order gram is always present.
-            p_low = 10.0 ** lower[gram[1:]][0]
+            key = " ".join(gram)
+            # Suffix closure: the next-lower-order gram, the key without
+            # its first word, is always present.
+            p_low = 10.0 ** lower[key[len(gram[0]) + 1 :]][0]
             p = max(c - dn, 0.0) / den + gammas[n - 2][ctx] * p_low
-            tables[n - 1][gram] = (math.log10(p), 0.0)
+            tables[n - 1][key] = (math.log10(p), 0.0)
 
     # Dummy entries for the all-<s> grams so they can carry backoff
     # weights; and the <s> unigram itself even in a unigram model.
     for n in range(1, order):
         gram = (SOS,) * n
         if gram in counts.raw(n):
-            tables[n - 1][gram] = (DUMMY_LOGPROB, 0.0)
-    if order == 1 and (SOS,) not in tables[0]:
-        tables[0][(SOS,)] = (DUMMY_LOGPROB, 0.0)
+            tables[n - 1][" ".join(gram)] = (DUMMY_LOGPROB, 0.0)
+    if order == 1 and SOS not in tables[0]:
+        tables[0][SOS] = (DUMMY_LOGPROB, 0.0)
 
     # Attach backoff weights to context grams.
     for n in range(1, order):
         for ctx, gamma in gammas[n - 1].items():
-            logp, _ = tables[n - 1][ctx]
-            tables[n - 1][ctx] = (logp, math.log10(gamma))
+            key = " ".join(ctx)
+            logp, _ = tables[n - 1][key]
+            tables[n - 1][key] = (logp, math.log10(gamma))
 
     return ArpaModel(order=order, tables=tuple(tables))
+
+
+# Characters that sort before the space separating a gram's words.
+_BELOW_SPACE = re.compile("[\x00-\x1f]")
 
 
 def write_arpa(model: ArpaModel, out: IO[str]) -> None:
@@ -227,34 +241,76 @@ def write_arpa(model: ArpaModel, out: IO[str]) -> None:
 
     Fields are tab-separated: log10 probability, the space-joined gram,
     and (below the highest order) the log10 backoff weight.  Entries are
-    sorted so output is reproducible.
+    sorted word by word so output is reproducible.
     """
     out.write("\\data\\\n")
     for n in range(1, model.order + 1):
         out.write(f"ngram {n}={len(model.tables[n - 1])}\n")
     for n in range(1, model.order + 1):
+        table = model.tables[n - 1]
         out.write(f"\n\\{n}-grams:\n")
-        for gram in sorted(model.tables[n - 1]):
-            logp, logbo = model.tables[n - 1][gram]
-            words = " ".join(gram)
+        # Gram strings sort as their word tuples unless some word holds a
+        # character that sorts before the separating space.
+        key = (lambda g: g.split(" ")) if _BELOW_SPACE.search("".join(table)) else None
+        for gram in sorted(table, key=key):
+            logp, logbo = table[gram]
             if n < model.order:
-                out.write(f"{logp:.10f}\t{words}\t{logbo:.10f}\n")
+                out.write(f"{logp:.10f}\t{gram}\t{logbo:.10f}\n")
             else:
-                out.write(f"{logp:.10f}\t{words}\n")
+                out.write(f"{logp:.10f}\t{gram}\n")
     out.write("\n\\end\\\n")
 
 
+def _parse_block(block: list[str], n: int) -> dict[str, tuple[float, float]] | None:
+    """The entries of a block of order-n entry lines, or None.
+
+    Each step works on the whole block.  None means some line is not an
+    entry, is malformed, or has a field count other lines do not share;
+    the caller then parses the block line by line, which reports the
+    first bad line or accepts a block mixing 2- and 3-field lines.
+    """
+    if not block:
+        return {}
+    rows = list(map(str.rstrip, block, repeat("\n")))
+    tabs = set(map(str.count, rows, repeat("\t")))
+    if tabs != {1} and tabs != {2}:
+        return None
+    width = tabs.pop() + 1
+    fields = "\t".join(rows).split("\t")
+    grams = fields[1::width]
+    if set(map(str.count, grams, repeat(" "))) != {n - 1}:
+        return None
+    # With n - 1 spaces in each gram, an empty word shows as a doubled
+    # space or a space at either end of the joined grams.
+    joined = " ".join(grams)
+    if not joined or joined[0] == " " or joined[-1] == " " or "  " in joined:
+        return None
+    try:
+        logps = list(map(float, fields[0::width]))
+        logbos = list(map(float, fields[2::width])) if width == 3 else repeat(0.0)
+    except ValueError:
+        return None
+    return dict(zip(grams, zip(logps, logbos)))
+
+
 def read_arpa(lines: Iterable[str]) -> ArpaModel:
-    """Parse a textual ARPA model."""
+    """Parse a textual ARPA model.
+
+    The lines after a section header, as many as the header declared,
+    are parsed as one block (see _parse_block); a block that does not
+    parse whole is read line by line instead, so errors and their line
+    numbers are those of a plain line-by-line reader.
+    """
     declared: list[int] = []
-    tables: list[dict[tuple[str, ...], tuple[float, float]]] = []
+    tables: list[dict[str, tuple[float, float]]] = []
     section = 0  # 0: preamble, 1: \data\, 2: n-gram sections
     current = -1
     saw_end = False
-    last_line_no = 0
+    line_no = 0
+    rows = iter(lines)
 
-    for line_no, raw_line in enumerate(lines, start=1):
-        last_line_no = line_no
+    while (raw_line := next(rows, None)) is not None:
+        line_no += 1
         line = raw_line.rstrip("\n")
         if not line.strip():
             continue
@@ -274,6 +330,13 @@ def read_arpa(lines: Iterable[str]) -> ArpaModel:
             if not 1 <= current <= len(declared):
                 raise MalformedArpa(line_no, f"unexpected section order {current}")
             section = 2
+            block = list(islice(rows, max(declared[current - 1], 0)))
+            entries = _parse_block(block, current)
+            if entries is None:
+                rows = chain(block, rows)
+            else:
+                tables[current - 1].update(entries)
+                line_no += len(block)
             continue
         if section == 1:
             if not line.startswith("ngram "):
@@ -298,21 +361,21 @@ def read_arpa(lines: Iterable[str]) -> ArpaModel:
                 logbo = float(fields[2]) if len(fields) == 3 else 0.0
             except ValueError:
                 raise MalformedArpa(line_no, f"bad numeric field in {line!r}") from None
-            gram = tuple(fields[1].split(" "))
-            if len(gram) != current or any(not w for w in gram):
+            words = fields[1].split(" ")
+            if len(words) != current or any(not w for w in words):
                 raise MalformedArpa(line_no, f"gram does not match section order: {fields[1]!r}")
-            tables[current - 1][gram] = (logp, logbo)
+            tables[current - 1][fields[1]] = (logp, logbo)
             continue
         raise MalformedArpa(line_no, f"unexpected line: {line!r}")
 
     if not saw_end:
-        raise MalformedArpa(last_line_no, "missing \\end\\ marker")
+        raise MalformedArpa(line_no, "missing \\end\\ marker")
     if not declared:
-        raise MalformedArpa(last_line_no, "missing \\data\\ header")
+        raise MalformedArpa(line_no, "missing \\data\\ header")
     for n, count in enumerate(declared, start=1):
         if len(tables[n - 1]) != count:
             raise MalformedArpa(
-                last_line_no,
+                line_no,
                 f"section {n} has {len(tables[n - 1])} entries, header declared {count}",
             )
     return ArpaModel(order=len(declared), tables=tuple(tables))
@@ -320,7 +383,7 @@ def read_arpa(lines: Iterable[str]) -> ArpaModel:
 
 def _mapped_forms(model: ArpaModel, sentence: Sentence) -> list[str]:
     vocab = model.tables[0]
-    return [t.form if (t.form,) in vocab else UNK for t in sentence.tokens]
+    return [t.form if t.form in vocab else UNK for t in sentence.tokens]
 
 
 def logprob(model: ArpaModel, sentence: Sentence) -> float:

@@ -11,6 +11,10 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
+from typing import Iterable
+
+from gectools.errors import MalformedArpa
+from gectools.lm import ArpaModel
 
 
 # --- character-level distances (full-matrix reference) ---------------------
@@ -310,6 +314,88 @@ class RefKneserNey:
             total += math.log10(self.prob(word, context))
             history.append(word)
         return total
+
+
+# --- ARPA reading (line by line, tuple keys) ------------------------------
+
+
+def ref_read_arpa(lines: Iterable[str]) -> ArpaModel:
+    """Parse a textual ARPA model line by line, keyed by word tuples.
+
+    The package reader parses whole blocks of entry lines at once and
+    keys grams by their space-joined words; it must give the same tables,
+    in the same order, or fail with the same message on the same line.
+    """
+    declared: list[int] = []
+    tables: list[dict[tuple[str, ...], tuple[float, float]]] = []
+    section = 0  # 0: preamble, 1: \data\, 2: n-gram sections
+    current = -1
+    saw_end = False
+    last_line_no = 0
+
+    for line_no, raw_line in enumerate(lines, start=1):
+        last_line_no = line_no
+        line = raw_line.rstrip("\n")
+        if not line.strip():
+            continue
+        if line == "\\data\\":
+            section = 1
+            continue
+        if line == "\\end\\":
+            saw_end = True
+            break
+        if line.startswith("\\") and line.endswith("-grams:"):
+            try:
+                current = int(line[1:-7])
+            except ValueError:
+                raise MalformedArpa(line_no, f"bad section header: {line!r}") from None
+            if not declared:
+                raise MalformedArpa(line_no, "n-gram section before \\data\\ header")
+            if not 1 <= current <= len(declared):
+                raise MalformedArpa(line_no, f"unexpected section order {current}")
+            section = 2
+            continue
+        if section == 1:
+            if not line.startswith("ngram "):
+                raise MalformedArpa(line_no, f"expected 'ngram N=count', got {line!r}")
+            body = line[len("ngram "):]
+            n_str, _, count_str = body.partition("=")
+            try:
+                n, count = int(n_str), int(count_str)
+            except ValueError:
+                raise MalformedArpa(line_no, f"bad count line: {line!r}") from None
+            if n != len(declared) + 1:
+                raise MalformedArpa(line_no, f"out-of-order count line: {line!r}")
+            declared.append(count)
+            tables.append({})
+            continue
+        if section == 2 and current > 0:
+            fields = line.split("\t")
+            if len(fields) not in (2, 3):
+                raise MalformedArpa(line_no, f"expected 2 or 3 tab-separated fields, got {len(fields)}")
+            try:
+                logp = float(fields[0])
+                logbo = float(fields[2]) if len(fields) == 3 else 0.0
+            except ValueError:
+                raise MalformedArpa(line_no, f"bad numeric field in {line!r}") from None
+            gram = tuple(fields[1].split(" "))
+            if len(gram) != current or any(not w for w in gram):
+                raise MalformedArpa(line_no, f"gram does not match section order: {fields[1]!r}")
+            tables[current - 1][gram] = (logp, logbo)
+            continue
+        raise MalformedArpa(line_no, f"unexpected line: {line!r}")
+
+    if not saw_end:
+        raise MalformedArpa(last_line_no, "missing \\end\\ marker")
+    if not declared:
+        raise MalformedArpa(last_line_no, "missing \\data\\ header")
+    for n, count in enumerate(declared, start=1):
+        if len(tables[n - 1]) != count:
+            raise MalformedArpa(
+                last_line_no,
+                f"section {n} has {len(tables[n - 1])} entries, header declared {count}",
+            )
+    return ArpaModel(order=len(declared), tables=tuple(tables))
 
 
 # --- corpus filter (independent straight-line version) ---------------------

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour, exit codes included."""
 
+import os
 import subprocess
 import sys
 
@@ -224,9 +225,15 @@ class TestLmAndRerank:
 
 CLEAN = "Ana are mere și pere în coșul cel mare de acasă .\n"
 LATIN1 = "Ana are caf\xe9 .\n".encode("latin-1")
+MODEL = "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.3\tAna\n-0.5\t.\n-0.9\t<unk>\n\n\\end\\\n"
+M2_AB = "S a b\nA 0 1|||R|||x|||REQUIRED|||-NONE-|||0\n\n"
+M2_CD = "S c d\nA 0 1|||R|||x|||REQUIRED|||-NONE-|||0\n\n"
+M2_NO_S = "A 0 1|||T|||x|||REQUIRED|||-NONE-|||0\n"
 
 # (name, {file name: content}, argv naming those files, exit code,
-#  text the error line must contain)
+#  text the error line must contain).  The file named "-" is fed to
+#  stdin, under the POSIX locale, where Python's own sys.stdin lets
+#  undecodable bytes through.
 BAD_INPUTS = [
     ("synth-latin1", {"in.txt": LATIN1, "lex.txt": "casa\n"},
      ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1"], 1, "not valid UTF-8"),
@@ -240,7 +247,64 @@ BAD_INPUTS = [
     ("lexicon-empty", {"in.txt": CLEAN, "lex.txt": "\n"},
      ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1"], 1, "no words"),
     ("lm-train-order-0", {"in.txt": CLEAN}, ["lm-train", "in.txt", "--order", "0"], 2, "--order"),
+    ("lm-train-stdin-latin1", {"-": LATIN1}, ["lm-train", "-"], 1, "<stdin>: not valid UTF-8"),
+    ("filter-stdin-latin1", {"-": LATIN1}, ["filter", "-"], 1, "<stdin>: not valid UTF-8"),
+    ("extract-bad-conllu", {"o.conllu": "1\tAna\n", "c.conllu": "1\tAna\n"},
+     ["extract", "o.conllu", "c.conllu", "--conllu"], 1, "o.conllu: line 1: expected 10"),
+    ("lm-score-bad-arpa", {"m.arpa": "not arpa\n", "in.txt": CLEAN},
+     ["lm-score", "m.arpa", "in.txt"], 1, "m.arpa: line 1: unexpected line"),
+    ("rerank-bad-arpa", {"m.arpa": MODEL.replace("-0.5\t.", "-0.5\t. x"), "nb.txt": "Ana .\t0\n"},
+     ["rerank", "m.arpa", "nb.txt"], 1, "m.arpa: line 6: gram does not match"),
+    ("rerank-bad-nbest", {"m.arpa": MODEL, "nb.txt": "Ana .\t0\n\nAna\n"},
+     ["rerank", "m.arpa", "nb.txt"], 1, "nb.txt: line 3: expected 'sentence<TAB>score'"),
 ]
+
+# The same for commands that take no -o.
+BAD_INPUTS_NO_OUTPUT = [
+    ("score-different-sentences", {"ref.m2": M2_AB, "hyp.m2": M2_CD},
+     ["score", "ref.m2", "hyp.m2"], 2, "sentence 1 differs"),
+    ("score-different-sentences-later", {"ref.m2": M2_AB + M2_AB, "hyp.m2": M2_AB + M2_CD},
+     ["score", "ref.m2", "hyp.m2"], 2, "sentence 2 differs"),
+    ("score-bad-hyp", {"ref.m2": M2_AB, "hyp.m2": M2_NO_S},
+     ["score", "ref.m2", "hyp.m2"], 1, "hyp.m2: line 1: annotation line before"),
+    ("stats-bad-m2", {"in.m2": M2_NO_S}, ["stats", "in.m2"], 1, "in.m2: line 1: annotation line before"),
+]
+
+
+def write_files(tmp_path, files_in):
+    """Write each file under tmp_path; return {name: path}."""
+    paths = {}
+    for name, content in files_in.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        paths[name] = str(path)
+    return paths
+
+
+def run_cli(tmp_path, files_in, argv):
+    """Run the CLI in a fresh interpreter on files written under tmp_path."""
+    stdin = files_in.get("-")
+    files_in = {name: content for name, content in files_in.items() if name != "-"}
+    paths = write_files(tmp_path, files_in)
+    env = None if stdin is None else {**os.environ, "LC_ALL": "C"}
+    result = subprocess.run(
+        [sys.executable, "-m", "gectools.cli", *[paths.get(arg, arg) for arg in argv]],
+        input=stdin,
+        capture_output=True,
+        env=env,
+    )
+    return result.returncode, result.stdout.decode(), result.stderr.decode()
+
+
+def assert_one_error_line(returncode, stderr, code, needle):
+    assert returncode == code, stderr
+    assert "Traceback" not in stderr
+    errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, stderr
+    assert needle in errors[0]
 
 
 class TestBadInputs:
@@ -250,25 +314,54 @@ class TestBadInputs:
         ids=[row[0] for row in BAD_INPUTS],
     )
     def test_one_error_line(self, tmp_path, files_in, argv, code, needle):
-        paths = {}
-        for name, content in files_in.items():
-            path = tmp_path / name
-            if isinstance(content, bytes):
-                path.write_bytes(content)
-            else:
-                path.write_text(content, encoding="utf-8")
-            paths[name] = str(path)
-        argv = [paths.get(arg, arg) for arg in argv]
-        result = subprocess.run(
-            [sys.executable, "-m", "gectools.cli", *argv, "-o", str(tmp_path / "out")],
-            capture_output=True,
-            text=True,
+        returncode, _, stderr = run_cli(tmp_path, files_in, [*argv, "-o", str(tmp_path / "out")])
+        assert_one_error_line(returncode, stderr, code, needle)
+
+    @pytest.mark.parametrize(
+        "files_in, argv, code, needle",
+        [row[1:] for row in BAD_INPUTS_NO_OUTPUT],
+        ids=[row[0] for row in BAD_INPUTS_NO_OUTPUT],
+    )
+    def test_one_error_line_no_output_flag(self, tmp_path, files_in, argv, code, needle):
+        returncode, _, stderr = run_cli(tmp_path, files_in, argv)
+        assert_one_error_line(returncode, stderr, code, needle)
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["filter", "in.txt"],
+            ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1"],
+            ["lm-score", "m.arpa", "in.txt"],
+        ],
+        ids=["filter", "synth", "lm-score"],
+    )
+    def test_failed_run_keeps_earlier_output(self, tmp_path, argv):
+        paths = write_files(tmp_path, {"in.txt": LATIN1, "lex.txt": "casa\n", "m.arpa": MODEL})
+        out = tmp_path / "out.txt"
+        out.write_text("earlier\n", encoding="utf-8")
+        assert main([*[paths.get(arg, arg) for arg in argv], "-o", str(out)]) == 1
+        assert out.read_text(encoding="utf-8") == "earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*paths, "out.txt"])
+
+    def test_success_replaces_output_keeping_its_mode(self, tmp_path):
+        paths = write_files(tmp_path, {"in.txt": CLEAN, "m.arpa": MODEL})
+        out = tmp_path / "out.tsv"
+        out.write_text("earlier\n", encoding="utf-8")
+        out.chmod(0o640)
+        assert main(["lm-score", paths["m.arpa"], paths["in.txt"], "-o", str(out)]) == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*paths, "out.tsv"])
+
+    def test_non_regular_target_is_written_in_place(self, tmp_path):
+        returncode, stdout, stderr = run_cli(
+            tmp_path, {"in.txt": CLEAN, "m.arpa": MODEL},
+            ["lm-score", "m.arpa", "in.txt", "-o", "/dev/stdout"],
         )
-        assert result.returncode == code, result.stderr
-        assert "Traceback" not in result.stderr
-        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1, result.stderr
-        assert needle in errors[0]
+        assert returncode == 0, stderr
+        assert len(stdout.splitlines()) == 1
 
 
 class TestEntryPoint:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gectools.errors import DegenerateCounts, EmptyInput, MalformedArpa, MalformedLine
+from gectools.errors import DegenerateCounts, EmptyInput, GecToolsError, MalformedArpa, MalformedLine
 from gectools.lm import (
     EOS,
     SOS,
@@ -26,7 +26,7 @@ from gectools.lm import (
     write_arpa,
 )
 from gectools.text import Sentence, Token
-from tests.oracles import RefKneserNey
+from tests.oracles import RefKneserNey, ref_read_arpa
 
 # Tiny fixture corpora legitimately trip the sparse-counts fallback.
 pytestmark = pytest.mark.filterwarnings("ignore::gectools.errors.DegenerateCounts")
@@ -172,6 +172,18 @@ class TestArpaIO:
         with pytest.raises(MalformedArpa):
             read_arpa(io.StringIO(text))
 
+    @pytest.mark.parametrize("words", [["a", "b", "c"], ["a", "a\x01", "b"]], ids=["plain", "below-space"])
+    def test_sections_sorted_word_by_word(self, words):
+        # "a\x01" sorts after "a" as a word, but "a\x01 a" before "a b" as a string.
+        model = train([" ".join(words), " ".join(reversed(words)), " ".join(words[:2])], 3)
+        buf = io.StringIO()
+        write_arpa(model, buf)
+        sections = buf.getvalue().split("-grams:\n")[1:]
+        for n, section in enumerate(sections, start=1):
+            grams = [tuple(l.split("\t")[1].split(" ")) for l in section.split("\n\n")[0].splitlines()]
+            assert len(grams) == len(model.tables[n - 1])
+            assert grams == sorted(grams)
+
     def test_read_hand_written_model(self):
         text = (
             "\\data\\\n"
@@ -188,6 +200,104 @@ class TestArpaIO:
         assert model.order == 1
         assert model.word_logprob("a", ()) == pytest.approx(-0.5)
         assert model.word_logprob("zz", ()) == pytest.approx(-0.7)
+
+
+# ARPA-like texts: a header and sections as write_arpa lays them out,
+# with duplicate grams, and now and then a miscounted header, a 2- or
+# 3-field line among the other kind, an empty word (a doubled or edge
+# space), a missing or extra word, a bad number, a stray line (blank,
+# whitespace, a header, 1 or 4 fields), CRLF line ends or no \end\.
+ARPA_WORDS = st.sampled_from(["a", "b", "ă", "<s>", "</s>", "<unk>", "x\r"])
+ARPA_NUMBERS = st.sampled_from(["-0.5", "-1.25", "0", "-99.0000000000", " -0.3", "1e-3", "-inf", "1_0"])
+ARPA_DEFECTS = st.sampled_from(
+    ["none"] * 100 + ["empty word", "missing word", "extra word", "bad number", "other width"]
+)
+ARPA_STRAY = st.sampled_from([
+    "", "  ", "\t", "\r", "\\data\\", "\\end\\", "\\1-grams:", "\\2-grams:", "\\x-grams:",
+    "ngram 1=2", "ngram 2=x", "-0.5", "-0.5\ta\t-0.1\t0", "-0.5\ta b", "-0.5\ta  b\t0",
+])
+
+
+def rare(value, other=None, odds=10):
+    """A strategy that gives value, or other once in `odds` draws."""
+    return st.sampled_from([value] * (odds - 1) + [other])
+
+
+@st.composite
+def arpa_texts(draw):
+    order = draw(st.integers(1, 3))
+    sections = []
+    for n in range(1, order + 1):
+        width = 3 if n < order else 2
+        rows = []
+        for _ in range(draw(st.integers(0, 8))):
+            words = draw(st.lists(ARPA_WORDS, min_size=n, max_size=n))
+            numbers = [draw(ARPA_NUMBERS) for _ in range(width - 1)]
+            defect = draw(ARPA_DEFECTS)
+            if defect == "empty word":
+                words[draw(st.integers(0, n - 1))] = ""
+            elif defect == "missing word":
+                words.pop()
+            elif defect == "extra word":
+                words.append("a")
+            elif defect == "bad number":
+                numbers[-1] = draw(st.sampled_from(["x", "", "nan0"]))
+            elif defect == "other width":
+                numbers = numbers[:1] if width == 3 else numbers + ["-0.25"]
+            rows.append("\t".join([numbers[0], " ".join(words), *numbers[1:]]))
+        count = len({row.split("\t")[1] for row in rows}) + draw(rare(0, draw(st.sampled_from([-1, 1]))))
+        sections.append((count, rows))
+    lines = ["\\data\\"] + [f"ngram {n}={count}" for n, (count, _) in enumerate(sections, 1)]
+    for n, (_, rows) in enumerate(sections, 1):
+        lines += ["", f"\\{n}-grams:"] + rows
+    lines += ["", "\\end\\"]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(ARPA_STRAY))
+    if not draw(rare(True, False)):
+        lines.remove("\\end\\")
+    return draw(rare("\n", "\r\n")).join(lines) + "\n"
+
+
+def _arpa_outcome(reader, lines):
+    """A model as (order, per-order item lists with space-joined keys),
+    or a parse error as its message."""
+    try:
+        model = reader(lines)
+    except MalformedArpa as exc:
+        return str(exc)
+    return model.order, [
+        [(gram if isinstance(gram, str) else " ".join(gram), value) for gram, value in table.items()]
+        for table in model.tables
+    ]
+
+
+class TestReadArpaMatchesLineReader:
+    @pytest.mark.parametrize(
+        "feed", [io.StringIO, str.splitlines], ids=["stream", "unterminated-lines"]
+    )
+    @settings(max_examples=400, deadline=None)
+    @given(text=arpa_texts())
+    def test_same_model_or_same_error(self, feed, text):
+        assert _arpa_outcome(read_arpa, feed(text)) == _arpa_outcome(ref_read_arpa, feed(text))
+
+    def test_written_model(self):
+        model = train(["a b c a", "c b a", "b b a c"], 3)
+        buf = io.StringIO()
+        write_arpa(model, buf)
+        got = _arpa_outcome(read_arpa, io.StringIO(buf.getvalue()))
+        assert got == _arpa_outcome(ref_read_arpa, io.StringIO(buf.getvalue()))
+        assert got[0] == 3 and all(got[1])
+
+
+class TestParsersRaiseOnlyPackageErrors:
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(st.text(), arpa_texts()))
+    def test_any_text(self, text):
+        for reader in (read_arpa, read_nbest):
+            try:
+                reader(io.StringIO(text))
+            except GecToolsError:
+                pass
 
 
 class TestQuerying:
