@@ -25,6 +25,7 @@ from gectools.errors import (
     MalformedM2,
     MissingAnnotations,
     OverlappingEdits,
+    SeveralAnnotators,
     SpanOutOfBounds,
 )
 from gectools.lexicon import Lexicon
@@ -75,7 +76,7 @@ __all__ = [
     "FilterConfig", "GecToolsError", "Hypothesis", "LengthMismatch", "Lexicon",
     "MalformedArpa", "MalformedLine", "MalformedM2", "MissingAnnotations",
     "NgramCounts", "OverlappingEdits", "POS_TAGS", "RerankConfig", "ScoreReport",
-    "Sentence", "SpanOutOfBounds", "SynthConfig", "SynthStats", "Token",
+    "Sentence", "SeveralAnnotators", "SpanOutOfBounds", "SynthConfig", "SynthStats", "Token",
     "align", "apply_edits", "char_overlap_ratio", "classify_all", "classify_edit",
     "compare", "corpus_stats", "corrupt_sentence", "count_ngrams", "diacritic_ratio",
     "extract_edits", "f_beta", "filter_sentence", "format_stats", "generate_corpus",

@@ -105,44 +105,35 @@ def _border_steps_exact(cost: float, count: int) -> bool:
     return all(k * cost <= (k - 1) * cost + cost for k in range(2, count + 1))
 
 
-def align(orig: Sentence, corr: Sentence, params: CostParams = DEFAULT_COSTS) -> list[AlignOp]:
-    """Minimum-cost alignment path between two sentences.
+# The first pass fills the diagonals whose indel lower bound is at most
+# this many times the larger indel cost above the least bound.
+_BAND_MARGIN = 3.0
+# Relative allowance, per table step, for float rounding in the test
+# that decides a second pass (see align).
+_ROUNDING = 1e-9
 
-    Ties are broken by preferring match > substitute > transpose >
-    delete > insert, which makes the result deterministic.
 
-    Two shortcuts leave the path unchanged.  The common suffix is matched
-    outright: when the last tokens match, the last cell of the table
-    backtraces as a match, so the full table would walk that suffix
-    diagonally too (given _border_steps_exact; otherwise nothing is
-    trimmed).  The prefix is not trimmed: tie-breaks would then pick
-    different tokens, as in ``a -> a a b``, where the table inserts the
-    first ``a``.  And sub_cost, with its character distance, is only
-    computed when a lower bound on the substitution does not already
-    lose to transpose, delete or insert: the distance between two
-    different forms is at least 1 and at least their length difference,
-    and float rounding is monotone, so the bound never exceeds the cost
-    it stands for.
+def _fill(
+    o_toks: tuple[Token, ...], c_toks: tuple[Token, ...], n: int, m: int, width: int, params: CostParams
+) -> tuple[list[list[float]], list[list[str]]]:
+    """Cost and operation tables of aligning o_toks[:n] with c_toks[:m].
+
+    Only the diagonals k = j - i from min(0, m - n) - width to
+    max(0, m - n) + width are filled; cells outside read as inf.
     """
-    o_toks, c_toks = orig.tokens, corr.tokens
-    n, m = len(o_toks), len(c_toks)
-    suffix = 0
-    trim = _border_steps_exact(params.delete_cost, n) and _border_steps_exact(params.insert_cost, m)
-    while trim and suffix < min(n, m) and o_toks[n - 1 - suffix].form == c_toks[m - 1 - suffix].form:
-        suffix += 1
-    n -= suffix
-    m -= suffix
+    lo, hi = min(0, m - n) - width, max(0, m - n) + width
     o_forms = [t.form for t in o_toks[:n]]
     c_forms = [t.form for t in c_toks[:m]]
     w_char, transpose_cost = params.w_char, params.transpose_cost
     delete_cost, insert_cost = params.delete_cost, params.insert_cost
 
-    dist = [[0.0] * (m + 1) for _ in range(n + 1)]
+    dist = [[math.inf] * (m + 1) for _ in range(n + 1)]
     op = [[""] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
+    dist[0][0] = 0.0
+    for i in range(1, min(n, -lo) + 1):
         dist[i][0] = i * delete_cost
         op[i][0] = DELETE
-    for j in range(1, m + 1):
+    for j in range(1, min(m, hi) + 1):
         dist[0][j] = j * insert_cost
         op[0][j] = INSERT
 
@@ -150,7 +141,7 @@ def align(orig: Sentence, corr: Sentence, params: CostParams = DEFAULT_COSTS) ->
         a_form = o_forms[i - 1]
         a_len = len(a_form)
         prev_row, row, op_row = dist[i - 1], dist[i], op[i]
-        for j in range(1, m + 1):
+        for j in range(max(1, i + lo), min(m, i + hi) + 1):
             b_form = c_forms[j - 1]
             diag = prev_row[j - 1]
             if a_form == b_form:
@@ -179,6 +170,73 @@ def align(orig: Sentence, corr: Sentence, params: CostParams = DEFAULT_COSTS) ->
                         best_cost, best_kind = cand, SUBSTITUTE
             row[j] = best_cost
             op_row[j] = best_kind
+    return dist, op
+
+
+def align(orig: Sentence, corr: Sentence, params: CostParams = DEFAULT_COSTS) -> list[AlignOp]:
+    """Minimum-cost alignment path between two sentences.
+
+    Ties are broken by preferring match > substitute > transpose >
+    delete > insert, which makes the result deterministic.
+
+    Three shortcuts leave the path unchanged.  The common suffix is
+    matched outright: when the last tokens match, the last cell of the
+    table backtraces as a match, so the full table would walk that
+    suffix diagonally too (given _border_steps_exact; otherwise nothing
+    is trimmed).  The prefix is not trimmed: tie-breaks would then pick
+    different tokens, as in ``a -> a a b``, where the table inserts the
+    first ``a``.  sub_cost, with its character distance, is only
+    computed when a lower bound on the substitution does not already
+    lose to transpose, delete or insert: the distance between two
+    different forms is at least 1 and at least their length difference,
+    and float rounding is monotone, so the bound never exceeds the cost
+    it stands for.
+
+    And only a band of the table's diagonals k = j - i is filled
+    (Ukkonen, 1985).  Each step changes k by at most one, inserts
+    raising it and deletes lowering it, and no step costs less than 0.
+    So a path that leaves the diagonals between 0 and d = m - n by e
+    costs at least base + e * (insert + delete), where base is the
+    indels from 0 to d.  The first pass fills the e up to
+    _BAND_MARGIN * max(insert, delete) / (insert + delete), with the
+    cells outside at inf, which only raises values.  Its result U is
+    the cost of a real path, so no optimal path leaves the diagonals
+    by more than e_max = (U - base) / (insert + delete); when e_max
+    exceeds the first width, a second pass fills that wider band.
+    Every cell the full table's backtrace reads as a tie candidate lies
+    on a path of optimal cost, so inside the band it has its exact
+    value, the same kinds tie, and the path is op for op that of the
+    full table.  U and the optimum are float sums of at most n + m
+    steps, so each is within a relative (n + m) * 2**-53 of its real
+    value, and the bounds base and e * (insert + delete) within a few
+    rounding steps of theirs: e_max is taken from U raised by a
+    relative _ROUNDING * (n + m + 1), which covers both many times
+    over.  Negative or unbounded costs void this argument; then the
+    whole table is filled.
+    """
+    o_toks, c_toks = orig.tokens, corr.tokens
+    n, m = len(o_toks), len(c_toks)
+    suffix = 0
+    trim = _border_steps_exact(params.delete_cost, n) and _border_steps_exact(params.insert_cost, m)
+    while trim and suffix < min(n, m) and o_toks[n - 1 - suffix].form == c_toks[m - 1 - suffix].form:
+        suffix += 1
+    n -= suffix
+    m -= suffix
+
+    delete_cost, insert_cost = params.delete_cost, params.insert_cost
+    step = insert_cost + delete_cost
+    full = min(n, m)  # a band this wide covers the whole table
+    if insert_cost >= 0 and delete_cost >= 0 and params.transpose_cost >= 0 and step < math.inf:
+        width = min(full, int(_BAND_MARGIN * max(insert_cost, delete_cost) // step))
+    else:
+        width = full
+    dist, op = _fill(o_toks, c_toks, n, m, width, params)
+    if width < full:
+        base = (m - n) * insert_cost if m >= n else (n - m) * delete_cost
+        budget = dist[n][m] * (1 + _ROUNDING * (n + m + 1))
+        needed = min(full, int((budget - base) // step))
+        if needed > width:
+            dist, op = _fill(o_toks, c_toks, n, m, needed, params)
 
     path: list[AlignOp] = []
     i, j = n, m

@@ -34,8 +34,6 @@ POS_TAGS = frozenset(
     }
 )
 
-ERROR_GROUPS = ("POS", "MORPH", "ORTH", "SPELL", "ORDER", "OTHER")
-
 
 def char_overlap_ratio(a: str, b: str) -> float:
     """Longest-common-subsequence length over the longer string's length."""

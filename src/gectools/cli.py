@@ -9,8 +9,9 @@ Exit codes: 0 on success, 1 on data errors (malformed, inconsistent or
 non-UTF-8 input files), 2 on usage errors, including out-of-range
 option values and paired inputs that do not pair up (their lengths, or
 the sentences at one position, differ).  Either error is reported as
-one line starting with "error:".  An output file given with -o is
-replaced only when the command succeeds.
+one line starting with "error:", and a warning, such as a discount
+lm-train could not estimate, as one line starting with "warning:".  An
+output file given with -o is replaced only when the command succeeds.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import logging
 import os
 import shutil
 import sys
+import warnings
 from typing import IO, Iterator
 
 from gectools import lm as lm_mod
@@ -30,6 +32,7 @@ from gectools import synth as synth_mod
 from gectools.align import extract_edits
 from gectools.classify import classify_all
 from gectools.errors import (
+    DegenerateCounts,
     GecToolsError,
     InvalidEncoding,
     LengthMismatch,
@@ -269,7 +272,11 @@ def cmd_lm_train(args) -> int:
                     yield tokenize(line)
 
     counts = lm_mod.count_ngrams(sentences(), args.order)
-    model = lm_mod.train_kneser_ney(counts, discounts=args.discount)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DegenerateCounts)
+        model = lm_mod.train_kneser_ney(counts, discounts=args.discount)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     with _open_out(args.output) as out:
         lm_mod.write_arpa(model, out)
     return 0

@@ -32,6 +32,10 @@ class MalformedM2(MalformedLine):
     """An M2 file entry is structurally invalid."""
 
 
+class SeveralAnnotators(MalformedM2):
+    """An M2 file holds the edits of more than one annotator."""
+
+
 class MalformedArpa(MalformedLine):
     """An ARPA language-model file is structurally invalid."""
 

@@ -4,7 +4,9 @@ Each sentence is a block: an "S" line with the tokenized original text,
 one "A" line per edit, and a blank line.  A sentence without edits gets
 the conventional noop annotation.  Spans index original tokens; the
 corrected span of each edit is reconstructed on read from the running
-length difference of the preceding edits.
+length difference of the preceding edits.  A file holds the edits of
+one annotator: the last field of every "A" line, noop lines included,
+carries the same annotator id.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from typing import IO, Iterable
 
 from gectools.align import Edit
-from gectools.errors import MalformedM2
+from gectools.errors import MalformedM2, SeveralAnnotators
 from gectools.score import UNTYPED
 from gectools.text import Sentence, Token
 
@@ -72,6 +74,7 @@ def read_m2(lines: Iterable[str]) -> list[tuple[Sentence, list[Edit]]]:
     tokens: tuple[Token, ...] | None = None
     raw_edits: list[tuple[int, int, str, str]] = []
     s_line_no = 0
+    annotator: tuple[str, int] | None = None  # the first id seen, and its line
 
     def flush():
         nonlocal tokens, raw_edits
@@ -103,6 +106,15 @@ def read_m2(lines: Iterable[str]) -> list[tuple[Sentence, list[Edit]]]:
                 start, end = int(span[0]), int(span[1])
             except ValueError:
                 raise MalformedM2(line_no, f"bad span field: {fields[0]!r}") from None
+            annotator_id = fields[5].strip()
+            if annotator is None:
+                annotator = (annotator_id, line_no)
+            elif annotator_id != annotator[0]:
+                raise SeveralAnnotators(
+                    line_no,
+                    f"annotator {annotator_id!r} after annotator {annotator[0]!r} of line "
+                    f"{annotator[1]}; files with several annotators are not supported",
+                )
             label, correction = fields[1], fields[2]
             if label == "noop":
                 continue

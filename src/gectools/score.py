@@ -15,6 +15,8 @@ from gectools.errors import LengthMismatch
 
 # Label edits that were never classified.
 UNTYPED = "UNK"
+# Coarse error groups, in the order stats reports them.
+ERROR_GROUPS = ("POS", "MORPH", "ORTH", "SPELL", "ORDER", "OTHER")
 
 
 def f_beta(precision: float, recall: float, beta: float = 0.5) -> float:
@@ -145,7 +147,7 @@ def group_of(etype: str) -> str:
     """Coarse group of an error-type label."""
     if etype.startswith("POS"):
         return "POS"
-    if etype in ("MORPH", "ORTH", "SPELL", "ORDER"):
+    if etype in ERROR_GROUPS:
         return etype
     return "OTHER"
 
@@ -181,8 +183,7 @@ def format_stats(stats: CorpusStats) -> str:
     for etype in sorted(stats.by_type):
         lines.append(f"  {etype:<16} {stats.by_type[etype]}")
     lines.append("group distribution:")
-    order = ("POS", "MORPH", "ORTH", "SPELL", "ORDER", "OTHER")
-    for group in order:
+    for group in ERROR_GROUPS:
         if group in stats.by_group:
             lines.append(
                 f"  {group:<8} {stats.by_group[group]:>8}  {stats.percent(group):6.2f}%"

@@ -1,5 +1,7 @@
 """Alignment costs, optimality, edit merging, and edit application."""
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,11 +132,61 @@ _TIE_TOKENS = st.builds(
     upos=st.sampled_from([None, "NOUN", "VERB"]),
 )
 # Indel costs that are not whole numbers (7 * 0.3 > 6 * 0.3 + 0.3 in
-# floats) next to the defaults, which are.
+# floats) next to the defaults, which are.  Sums of 0.55, or of 1.3 and
+# 0.1, over the sum of the two indel costs often fall just below the
+# whole number they stand for, which the band test must allow for.
+_AWKWARD = CostParams(w_lemma=0.3, w_pos=0.45, w_char=0.2, insert_cost=1.3, delete_cost=0.1, transpose_cost=0.5)
 _PATH_PARAMS = (
     CostParams(),
     CostParams(w_lemma=0.3, w_pos=0.45, w_char=0.2, insert_cost=0.3, delete_cost=0.7, transpose_cost=0.5),
+    CostParams(insert_cost=0.55, delete_cost=0.55),
+    _AWKWARD,
 )
+
+
+@st.composite
+def _near_pairs(draw):
+    """A sentence of up to 40 tokens and a copy with up to 4 random
+    inserts, deletes, substitutions or swaps: the pairs the aligner
+    meets, whose paths run close to the band edge."""
+    size = draw(st.integers(0, 40))
+    orig = draw(st.lists(_TIE_TOKENS, min_size=size, max_size=size))
+    corr = list(orig)
+    kinds = st.sampled_from(("insert", "delete", "substitute", "swap"))
+    for kind in draw(st.lists(kinds, min_size=draw(st.integers(0, 4)), max_size=4)):
+        if kind == "insert":
+            corr.insert(draw(st.integers(0, len(corr))), draw(_TIE_TOKENS))
+            continue
+        span = 2 if kind == "swap" else 1
+        if len(corr) < span:
+            continue
+        at = draw(st.integers(0, len(corr) - span))
+        if kind == "delete":
+            del corr[at]
+        elif kind == "substitute":
+            corr[at] = draw(_TIE_TOKENS)
+        else:
+            corr[at], corr[at + 1] = corr[at + 1], corr[at]
+    return Sentence(tuple(orig)), Sentence(tuple(corr))
+
+
+def _annotated(forms):
+    """Sentence whose tokens carry their form as lemma and one UPOS per form."""
+    upos = {"a": "NOUN", "b": "VERB", "c": "ADJ", "d": "ADV"}
+    return Sentence(tuple(Token(f, f, upos[f]) for f in forms.split()))
+
+
+def _priced_pairs(monkeypatch):
+    """List that collects the (orig, corr) token identities of every sub_cost call."""
+    align_module = importlib.import_module("gectools.align")
+    real, priced = align_module.sub_cost, []
+
+    def counting(a, b, params):
+        priced.append((id(a), id(b)))
+        return real(a, b, params)
+
+    monkeypatch.setattr(align_module, "sub_cost", counting)
+    return priced
 
 
 class TestAlignPath:
@@ -148,6 +200,39 @@ class TestAlignPath:
         orig, corr = Sentence(tuple(a)), Sentence(tuple(b))
         got = [(op.kind, op.o_index, op.c_index) for op in align(orig, corr, params)]
         assert got == ref_align_path(orig, corr, params)
+
+    @given(pair=_near_pairs(), params=st.sampled_from(_PATH_PARAMS))
+    @settings(max_examples=300, deadline=None)
+    def test_near_identical_pairs_match_full_table(self, pair, params):
+        orig, corr = pair
+        got = [(op.kind, op.o_index, op.c_index) for op in align(orig, corr, params)]
+        assert got == ref_align_path(orig, corr, params)
+
+    @pytest.mark.parametrize(
+        "orig, corr, params",
+        [
+            ("a a b a b c", "b c a c a a", _AWKWARD),
+            ("c d a a d d", "a b b c a", CostParams(insert_cost=0.55, delete_cost=0.55)),
+        ],
+    )
+    def test_second_pass_case(self, monkeypatch, orig, corr, params):
+        # The first band ends on a path that costs exactly what the full
+        # table's path does, which leaves the diagonals by one more; in
+        # floats the quotient that finds the second band falls just
+        # below that whole number.
+        orig, corr = _annotated(orig), _annotated(corr)
+        priced = _priced_pairs(monkeypatch)
+        got = [(op.kind, op.o_index, op.c_index) for op in align(orig, corr, params)]
+        assert got == ref_align_path(orig, corr, params)
+        assert len(priced) > len(set(priced)), "no second pass: pick a case the first band misses"
+
+    def test_first_band_is_filled_once_when_it_holds_the_optimum(self, monkeypatch):
+        # The optimum deletes x and inserts y, one diagonal off the main
+        # one, inside the first band: no second pass prices a pair again.
+        priced = _priced_pairs(monkeypatch)
+        ops = align(sent("x", "a", "b", "c"), sent("a", "b", "c", "y"))
+        assert [op.kind for op in ops] == [DELETE, MATCH, MATCH, MATCH, INSERT]
+        assert priced and len(priced) == len(set(priced))
 
     def test_common_prefix_is_not_matched_outright(self):
         ops = align(sent("a"), sent("a", "a", "b"))

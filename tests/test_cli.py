@@ -229,6 +229,11 @@ MODEL = "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.3\tAna\n-0.5\t.\n-0.9\t<unk>\n\n\
 M2_AB = "S a b\nA 0 1|||R|||x|||REQUIRED|||-NONE-|||0\n\n"
 M2_CD = "S c d\nA 0 1|||R|||x|||REQUIRED|||-NONE-|||0\n\n"
 M2_NO_S = "A 0 1|||T|||x|||REQUIRED|||-NONE-|||0\n"
+# A second annotator's edit on other tokens, on the same tokens, and
+# as a noop.
+M2_TWO_ANNOTATORS = M2_AB.replace("\n\n", "\nA 1 2|||R|||y|||REQUIRED|||-NONE-|||1\n\n")
+M2_TWO_ANNOTATORS_SAME_TOKENS = M2_AB.replace("\n\n", "\nA 0 1|||R|||y|||REQUIRED|||-NONE-|||1\n\n")
+M2_TWO_ANNOTATORS_NOOP = M2_AB + "S c d\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||1\n\n"
 
 # (name, {file name: content}, argv naming those files, exit code,
 #  text the error line must contain).  The file named "-" is fed to
@@ -268,6 +273,12 @@ BAD_INPUTS_NO_OUTPUT = [
     ("score-bad-hyp", {"ref.m2": M2_AB, "hyp.m2": M2_NO_S},
      ["score", "ref.m2", "hyp.m2"], 1, "hyp.m2: line 1: annotation line before"),
     ("stats-bad-m2", {"in.m2": M2_NO_S}, ["stats", "in.m2"], 1, "in.m2: line 1: annotation line before"),
+    ("stats-two-annotators", {"in.m2": M2_TWO_ANNOTATORS},
+     ["stats", "in.m2"], 1, "in.m2: line 3: annotator '1' after annotator '0' of line 2"),
+    ("stats-two-annotators-noop", {"in.m2": M2_TWO_ANNOTATORS_NOOP},
+     ["stats", "in.m2"], 1, "in.m2: line 5: annotator '1' after annotator '0' of line 2"),
+    ("score-two-annotators", {"ref.m2": M2_TWO_ANNOTATORS_SAME_TOKENS, "hyp.m2": M2_AB},
+     ["score", "ref.m2", "hyp.m2"], 1, "ref.m2: line 3: annotator '1' after annotator '0' of line 2"),
 ]
 
 
@@ -325,6 +336,17 @@ class TestBadInputs:
     def test_one_error_line_no_output_flag(self, tmp_path, files_in, argv, code, needle):
         returncode, _, stderr = run_cli(tmp_path, files_in, argv)
         assert_one_error_line(returncode, stderr, code, needle)
+
+
+class TestWarnings:
+    def test_lm_train_sparse_counts_warn_in_one_line(self, tmp_path):
+        returncode, stdout, stderr = run_cli(tmp_path, {"-": b"a b\nc d\n"}, ["lm-train", "-", "--order", "2"])
+        assert returncode == 0, stderr
+        assert stdout.startswith("\\data\\\n") and stdout.endswith("\\end\\\n")
+        lines = stderr.splitlines()
+        assert len(lines) == 1, stderr
+        assert lines[0].startswith("warning: order 2: count-of-counts too sparse")
+        assert "lm.py" not in stderr
 
 
 class TestOutputFile:

@@ -25,7 +25,8 @@ from gectools.lm import (
     train_kneser_ney,
     write_arpa,
 )
-from gectools.text import Sentence, Token
+from gectools.m2 import read_m2
+from gectools.text import Sentence, Token, parse_conllu
 from tests.oracles import RefKneserNey, ref_read_arpa
 
 # Tiny fixture corpora legitimately trip the sparse-counts fallback.
@@ -289,11 +290,63 @@ class TestReadArpaMatchesLineReader:
         assert got[0] == 3 and all(got[1])
 
 
+# M2-like texts: S lines, A lines with odd spans, labels, corrections,
+# field counts and annotator ids, noop lines, and stray lines.
+M2_FIELDS = st.sampled_from(["R", "noop", "x", "-NONE-", "", "REQUIRED", "0", "1", " 0", "a|b"])
+M2_SPANS = st.sampled_from(["0 1", "1 1", "-1 -1", "2 0", "0 9", "1", "0 1 2", "a b", "1_0 2", "٣ 4", ""])
+M2_STRAY = st.sampled_from(["", " ", "S", "S ", "A", "A ", "S\ta", "A 0 1", "x", "\r"])
+
+
+@st.composite
+def m2_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        lines.append("S " + " ".join(draw(st.lists(st.sampled_from(["a", "b", ".", "ă"]), max_size=4))))
+        for _ in range(draw(st.integers(0, 3))):
+            fields = draw(st.lists(M2_FIELDS, min_size=4, max_size=6))
+            lines.append("A " + "|||".join([draw(M2_SPANS), *fields]))
+        lines.append("")
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(M2_STRAY))
+    return "\n".join(lines) + "\n"
+
+
+# CoNLL-U-like texts: 10-column token lines with odd ids, forms and
+# tags, now and then another column count, comments and blank lines.
+CONLLU_IDS = st.sampled_from(["1", "2", "10", "1-2", "1.1", "0", "x", "", "٣", "²"])
+CONLLU_FORMS = st.sampled_from(["a", "ă", ".", "_", "", "a b", "a\r", "\x85"])
+CONLLU_TAGS = st.sampled_from(["NOUN", "VERB", "PUNCT", "_", "", "noun", "XYZ"])
+CONLLU_STRAY = st.sampled_from(["", "# sent_id = s1", "# sent_id =", "#", "1\ta", "\t" * 10, " "])
+
+
+@st.composite
+def conllu_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        for _ in range(draw(st.integers(0, 4))):
+            cols = [draw(CONLLU_IDS), draw(CONLLU_FORMS), draw(CONLLU_FORMS), draw(CONLLU_TAGS)]
+            cols += ["_"] * draw(rare(6, draw(st.sampled_from([5, 7]))))
+            lines.append("\t".join(cols))
+        lines.append("")
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(CONLLU_STRAY))
+    return "\n".join(lines) + "\n"
+
+
 class TestParsersRaiseOnlyPackageErrors:
     @settings(max_examples=300, deadline=None)
     @given(text=st.one_of(st.text(), arpa_texts()))
     def test_any_text(self, text):
         for reader in (read_arpa, read_nbest):
+            try:
+                reader(io.StringIO(text))
+            except GecToolsError:
+                pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(st.text(), m2_texts(), conllu_texts()))
+    def test_any_m2_or_conllu_text(self, text):
+        for reader in (read_m2, parse_conllu):
             try:
                 reader(io.StringIO(text))
             except GecToolsError:

@@ -49,6 +49,10 @@ class TestWrite:
 
 
 class TestRead:
+    def test_one_annotator_of_any_id(self):
+        text = "S a b\nA 0 1|||R|||x|||REQUIRED|||-NONE-|||1\n\nS c\n" + NOOP_LINE[:-1] + "1\n\n"
+        assert [len(edits) for _, edits in read_m2(io.StringIO(text))] == [1, 0]
+
     def test_noop_gives_no_edits(self):
         blocks = read_m2(io.StringIO("S a b\n" + NOOP_LINE + "\n\n"))
         assert len(blocks) == 1
