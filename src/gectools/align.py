@@ -37,9 +37,10 @@ class CostParams:
     transpose_cost: float = 1.0
 
     def __post_init__(self):
-        for name in ("w_lemma", "w_pos", "w_char"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for name in ("w_lemma", "w_pos", "w_char", "insert_cost", "delete_cost", "transpose_cost"):
+            value = getattr(self, name)
+            if not (0 <= value < math.inf):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
         # A substitution must never cost more than deleting and
         # re-inserting the token, or substitutions become unreachable.
         if self.w_lemma + self.w_pos + self.w_char >= self.insert_cost + self.delete_cost:
@@ -211,8 +212,7 @@ def align(orig: Sentence, corr: Sentence, params: CostParams = DEFAULT_COSTS) ->
     value, and the bounds base and e * (insert + delete) within a few
     rounding steps of theirs: e_max is taken from U raised by a
     relative _ROUNDING * (n + m + 1), which covers both many times
-    over.  Negative or unbounded costs void this argument; then the
-    whole table is filled.
+    over.
     """
     o_toks, c_toks = orig.tokens, corr.tokens
     n, m = len(o_toks), len(c_toks)
@@ -226,10 +226,7 @@ def align(orig: Sentence, corr: Sentence, params: CostParams = DEFAULT_COSTS) ->
     delete_cost, insert_cost = params.delete_cost, params.insert_cost
     step = insert_cost + delete_cost
     full = min(n, m)  # a band this wide covers the whole table
-    if insert_cost >= 0 and delete_cost >= 0 and params.transpose_cost >= 0 and step < math.inf:
-        width = min(full, int(_BAND_MARGIN * max(insert_cost, delete_cost) // step))
-    else:
-        width = full
+    width = min(full, int(_BAND_MARGIN * max(insert_cost, delete_cost) // step))
     dist, op = _fill(o_toks, c_toks, n, m, width, params)
     if width < full:
         base = (m - n) * insert_cost if m >= n else (n - m) * delete_cost

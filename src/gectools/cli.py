@@ -220,25 +220,18 @@ def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_filter(args) -> int:
     cfg = _filter_config(args)
     log.info("filter: input=%s %s", args.input, cfg)
-    total = accepted = 0
-    rejected: dict[int, int] = {}
+    stats = synth_mod.SynthStats()
     with _open_in(args.input) as fh, _open_out(args.output) as out:
         for raw_line in fh:
             line = raw_line.rstrip("\n")
-            total += 1
+            stats.total_lines += 1
             rule = synth_mod.filter_sentence(line, cfg)
             if rule is None:
-                accepted += 1
+                stats.accepted += 1
                 out.write(line + "\n")
             else:
-                rejected[rule] = rejected.get(rule, 0) + 1
-    print(f"input lines: {total}", file=sys.stderr)
-    print(f"accepted: {accepted}", file=sys.stderr)
-    for rule in sorted(rejected):
-        print(
-            f"rejected by rule {rule} ({synth_mod.RULE_NAMES[rule]}): {rejected[rule]}",
-            file=sys.stderr,
-        )
+                stats.rejected_by_rule[rule] += 1
+    print(stats.format(), file=sys.stderr)
     return 0
 
 

@@ -1,8 +1,4 @@
-"""Pure-Python character distance kernels.
-
-Semantics must stay in lockstep with the compiled twin in _fast.pyx:
-the test suite asserts byte-identical results between the two backends.
-"""
+"""Character distance kernels: edit distance, LCS length and a distance scan."""
 
 from __future__ import annotations
 

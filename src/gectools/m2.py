@@ -11,6 +11,7 @@ carries the same annotator id.
 
 from __future__ import annotations
 
+import re
 from typing import IO, Iterable
 
 from gectools.align import Edit
@@ -19,6 +20,8 @@ from gectools.score import UNTYPED
 from gectools.text import Sentence, Token
 
 NOOP_LINE = "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0"
+# A span bound: ASCII digits, signed for the noop line's -1.
+_SPAN_NUMBER = re.compile(r"-?[0-9]+")
 
 
 def write_m2(sentence: Sentence, edits: Iterable[Edit], out: IO[str]) -> None:
@@ -100,12 +103,9 @@ def read_m2(lines: Iterable[str]) -> list[tuple[Sentence, list[Edit]]]:
             if len(fields) < 6:
                 raise MalformedM2(line_no, f"expected 6 '|||'-separated fields, got {len(fields)}")
             span = fields[0].split()
-            if len(span) != 2:
+            if len(span) != 2 or not all(_SPAN_NUMBER.fullmatch(x) for x in span):
                 raise MalformedM2(line_no, f"bad span field: {fields[0]!r}")
-            try:
-                start, end = int(span[0]), int(span[1])
-            except ValueError:
-                raise MalformedM2(line_no, f"bad span field: {fields[0]!r}") from None
+            start, end = int(span[0]), int(span[1])
             annotator_id = fields[5].strip()
             if annotator is None:
                 annotator = (annotator_id, line_no)

@@ -35,16 +35,44 @@ def _key(edit: Edit) -> tuple[int, int, str]:
     return (edit.o_start, edit.o_end, edit.c_text)
 
 
-def compare(ref_edits: Sequence[Edit], hyp_edits: Sequence[Edit]) -> tuple[int, int, int]:
-    """(tp, fp, fn) between one sentence's reference and hypothesis edits.
+def _by_key(edits: Sequence[Edit]) -> dict[tuple[int, int, str], list[Edit]]:
+    groups: dict[tuple[int, int, str], list[Edit]] = {}
+    for edit in edits:
+        groups.setdefault(_key(edit), []).append(edit)
+    return groups
 
-    Matching is multiset-based: duplicate edits must be matched by
-    duplicates on the other side.
+
+def _match_edits(
+    ref_edits: Sequence[Edit], hyp_edits: Sequence[Edit]
+) -> tuple[list[Edit], list[Edit], list[Edit]]:
+    """Match one sentence's hypothesis edits against its reference edits.
+
+    Returns (matched, missed, unmatched): the reference edits some
+    hypothesis edit matches, the reference edits none matches, and the
+    hypothesis edits that match none.  Matching is multiset-based:
+    duplicate edits must be matched by duplicates on the other side, and
+    among edits with the same key the earlier ones are matched first.
+    Edits come grouped by key, in the order each key first appears.
     """
-    ref_keys = Counter(_key(e) for e in ref_edits)
-    hyp_keys = Counter(_key(e) for e in hyp_edits)
-    tp = sum(min(count, hyp_keys.get(key, 0)) for key, count in ref_keys.items())
-    return tp, sum(hyp_keys.values()) - tp, sum(ref_keys.values()) - tp
+    hyp_by_key = _by_key(hyp_edits)
+    matched: list[Edit] = []
+    missed: list[Edit] = []
+    unmatched: list[Edit] = []
+    for key, redits in _by_key(ref_edits).items():
+        hedits = hyp_by_key.pop(key, [])
+        k = min(len(redits), len(hedits))
+        matched += redits[:k]
+        missed += redits[k:]
+        unmatched += hedits[k:]
+    for hedits in hyp_by_key.values():
+        unmatched += hedits
+    return matched, missed, unmatched
+
+
+def compare(ref_edits: Sequence[Edit], hyp_edits: Sequence[Edit]) -> tuple[int, int, int]:
+    """(tp, fp, fn) between one sentence's reference and hypothesis edits."""
+    matched, missed, unmatched = _match_edits(ref_edits, hyp_edits)
+    return len(matched), len(unmatched), len(missed)
 
 
 @dataclass
@@ -105,30 +133,16 @@ def score_corpus(
         return per_type.setdefault(edit.etype or UNTYPED, TypeCounts())
 
     for ref_edits, hyp_edits in zip(ref_edit_lists, hyp_edit_lists):
-        ref_by_key: dict[tuple, list[Edit]] = {}
-        for edit in ref_edits:
-            ref_by_key.setdefault(_key(edit), []).append(edit)
-        hyp_by_key: dict[tuple, list[Edit]] = {}
-        for edit in hyp_edits:
-            hyp_by_key.setdefault(_key(edit), []).append(edit)
-
-        for key, redits in ref_by_key.items():
-            hedits = hyp_by_key.get(key, [])
-            matched = min(len(redits), len(hedits))
-            tp += matched
-            fn += len(redits) - matched
-            fp += len(hedits) - matched
-            for edit in redits[:matched]:
-                counts_for(edit).tp += 1
-            for edit in redits[matched:]:
-                counts_for(edit).fn += 1
-            for edit in hedits[matched:]:
-                counts_for(edit).fp += 1
-        for key, hedits in hyp_by_key.items():
-            if key not in ref_by_key:
-                fp += len(hedits)
-                for edit in hedits:
-                    counts_for(edit).fp += 1
+        matched, missed, unmatched = _match_edits(ref_edits, hyp_edits)
+        tp += len(matched)
+        fn += len(missed)
+        fp += len(unmatched)
+        for edit in matched:
+            counts_for(edit).tp += 1
+        for edit in missed:
+            counts_for(edit).fn += 1
+        for edit in unmatched:
+            counts_for(edit).fp += 1
 
     precision, recall = _precision_recall(tp, fp, fn)
     return ScoreReport(

@@ -15,7 +15,6 @@ how the work is split across processes.
 from __future__ import annotations
 
 import random
-import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import Pool
@@ -24,7 +23,7 @@ from typing import IO, Iterable
 from gectools.errors import EmptySentence
 from gectools.kernels import scan_distances
 from gectools.lexicon import Lexicon
-from gectools.text import Sentence, Token, render, tokenize
+from gectools.text import Sentence, Token, is_punct, peel_punct, render, tokenize
 
 # Romanian diacritics, including the legacy cedilla codepoints that many
 # corpora still carry.
@@ -69,20 +68,12 @@ def diacritic_ratio(text: str) -> float:
     return dia / other if other else 0.0
 
 
-def _is_punct_char(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
-
-
 def _final_period_is_abbreviation(text: str, cfg: FilterConfig) -> bool:
     chunks = text.split()
     if not chunks:
         return False
     last = chunks[-1]
-    start, end = 0, len(last)
-    while start < end and _is_punct_char(last[start]):
-        start += 1
-    while end > start and _is_punct_char(last[end - 1]):
-        end -= 1
+    start, end = peel_punct(last)
     return last[start:end].lower() in cfg.abbreviations
 
 
@@ -107,7 +98,7 @@ def filter_sentence(text: str, cfg: FilterConfig = FilterConfig()) -> int | None
         return 3
     # 4: the last punctuation character is an end mark and, for a
     # period, does not belong to a known abbreviation.
-    last_punct = next((ch for ch in reversed(text) if _is_punct_char(ch)), None)
+    last_punct = next((ch for ch in reversed(text) if is_punct(ch)), None)
     if last_punct is None or last_punct not in cfg.end_marks:
         return 4
     if last_punct == "." and _final_period_is_abbreviation(text, cfg):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -24,6 +25,17 @@ def _is_punct_char(ch: str) -> bool:
 def is_punct(text: str) -> bool:
     """True when every character of text is Unicode punctuation."""
     return bool(text) and all(_is_punct_char(ch) for ch in text)
+
+
+def peel_punct(chunk: str) -> tuple[int, int]:
+    """Bounds (start, end) of chunk without its leading and trailing
+    punctuation characters; start == end when chunk is all punctuation."""
+    start, end = 0, len(chunk)
+    while start < end and _is_punct_char(chunk[start]):
+        start += 1
+    while end > start and _is_punct_char(chunk[end - 1]):
+        end -= 1
+    return start, end
 
 
 @dataclass(frozen=True)
@@ -76,12 +88,7 @@ def tokenize(text: str) -> Sentence:
         raise EmptyInput("cannot tokenize empty text")
     forms: list[str] = []
     for chunk in text.split():
-        start = 0
-        end = len(chunk)
-        while start < end and _is_punct_char(chunk[start]):
-            start += 1
-        while end > start and _is_punct_char(chunk[end - 1]):
-            end -= 1
+        start, end = peel_punct(chunk)
         forms.extend(chunk[:start])
         if start < end:
             forms.append(chunk[start:end])
@@ -92,6 +99,10 @@ def tokenize(text: str) -> Sentence:
 def render(sentence: Sentence) -> str:
     """Inverse of tokenize up to spacing: space-joined token forms."""
     return " ".join(t.form for t in sentence.tokens)
+
+
+# A word id: ASCII digits only (str.isdigit would also take "²").
+_WORD_ID = re.compile(r"[0-9]+")
 
 
 def _field(value: str) -> str | None:
@@ -133,7 +144,7 @@ def parse_conllu(lines: Iterable[str]) -> list[Sentence]:
         token_id, form, lemma, upos = cols[0], cols[1], cols[2], cols[3]
         if "-" in token_id or "." in token_id:
             continue
-        if not token_id.isdigit():
+        if not _WORD_ID.fullmatch(token_id):
             raise MalformedLine(line_no, f"bad token id: {token_id!r}")
         if not form or form == "_":
             raise MalformedLine(line_no, f"bad token form: {form!r}")

@@ -1,6 +1,7 @@
 """Alignment costs, optimality, edit merging, and edit application."""
 
 import importlib
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,14 @@ class TestCostParams:
         with pytest.raises(ValueError):
             CostParams(w_lemma=1.5, w_pos=0.5, w_char=0.5)
 
+    @pytest.mark.parametrize(
+        "field", ["w_lemma", "w_pos", "w_char", "insert_cost", "delete_cost", "transpose_cost"]
+    )
+    @pytest.mark.parametrize("value", [-1.0, -1e-9, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_or_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CostParams(**{field: value})
+
     def test_defaults(self):
         p = CostParams()
         assert (p.w_lemma, p.w_pos, p.w_char) == (0.499, 0.25, 0.25)
@@ -141,6 +150,7 @@ _PATH_PARAMS = (
     CostParams(w_lemma=0.3, w_pos=0.45, w_char=0.2, insert_cost=0.3, delete_cost=0.7, transpose_cost=0.5),
     CostParams(insert_cost=0.55, delete_cost=0.55),
     _AWKWARD,
+    CostParams(transpose_cost=0.0),
 )
 
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +131,26 @@ class TestFilter:
         assert main(["filter", inp, "--min-words", "3", "-o", out_path]) == 0
         assert (tmp_path / "kept.txt").read_text(encoding="utf-8").strip()
 
+    def test_stderr_tally(self, files, capsys):
+        # Every rule of the fixture rejects one line; the report is
+        # pinned byte for byte.
+        write, tmp = files
+        fixture = Path(__file__).parent / "data" / "filter_fixture.tsv"
+        texts = [line.split("\t")[1] for line in fixture.read_text(encoding="utf-8").splitlines()]
+        inp = write("raw.txt", "".join(t + "\n" for t in texts))
+        assert main(["filter", inp, "-o", str(tmp / "kept.txt")]) == 0
+        assert capsys.readouterr().err == (
+            "input lines: 14\n"
+            "accepted: 7\n"
+            "rejected by rule 1 (first letter not uppercase): 1\n"
+            "rejected by rule 2 (quotation marks or link markers): 1\n"
+            "rejected by rule 3 (unbalanced brackets): 1\n"
+            "rejected by rule 4 (no sentence-final punctuation): 1\n"
+            "rejected by rule 5 (too few diacritics): 1\n"
+            "rejected by rule 6 (too many foreign characters): 1\n"
+            "rejected by rule 7 (too short): 1\n"
+        )
+
 
 class TestSynth:
     def lexicon(self, files):
@@ -150,6 +171,25 @@ class TestSynth:
         assert main(["synth", inp, "--lexicon", lex, "--seed", "7", "-o", a]) == 0
         assert main(["synth", inp, "--lexicon", lex, "--seed", "7", "-o", b]) == 0
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+    def test_stderr_tally(self, files, capsys):
+        write, tmp = files
+        lex = self.lexicon(files)
+        inp = write(
+            "raw.txt",
+            "Bace bice boba cuba ricema tibe lobă masă cevat toba .\n"
+            "Bobă cuba tibe ricema bace bice cevat mură dovă sobă .\n"
+            "prea scurtă\n",
+        )
+        assert main(["synth", inp, "--lexicon", lex, "--seed", "7", "-o", str(tmp / "a.tsv")]) == 0
+        assert capsys.readouterr().err == (
+            "input lines: 3\n"
+            "accepted: 2\n"
+            "rejected by rule 1 (first letter not uppercase): 1\n"
+            "word operations: 4 (substitute=0.500, delete=0.250, insert=0.000, swap=0.250)\n"
+            "char operations: 2\n"
+            "mean changed-word fraction: 0.1818\n"
+        )
 
     def test_seed_changes_output(self, files, tmp_path):
         write, tmp = files

@@ -87,6 +87,10 @@ class TestRead:
             ("A 0 1|||T|||b|||REQUIRED|||-NONE-|||0\n", "before any sentence"),
             ("S a\nA 0|||T|||b|||REQUIRED|||-NONE-|||0\n", "span"),
             ("S a\nA x y|||T|||b|||REQUIRED|||-NONE-|||0\n", "span"),
+            # int() alone would read these three as numbers.
+            ("S a\nA \u0660 \u0661|||T|||b|||REQUIRED|||-NONE-|||0\n", "bad span field"),
+            ("S a\nA 0 1_0|||T|||b|||REQUIRED|||-NONE-|||0\n", "bad span field"),
+            ("S a\nA +0 1|||T|||b|||REQUIRED|||-NONE-|||0\n", "bad span field"),
             ("S a\nA 0 5|||T|||b|||REQUIRED|||-NONE-|||0\n", "range"),
             ("S a\nA 0 1|||T|||b\n", "fields"),
             ("S a b\nA 0 2|||T|||x|||REQUIRED|||-NONE-|||0\nA 1 2|||T|||y|||REQUIRED|||-NONE-|||0\n", "overlap"),

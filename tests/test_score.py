@@ -96,6 +96,17 @@ class TestScoreCorpus:
         assert report.per_type["ORTH"].tp == 1
         assert "SPELL" not in report.per_type
 
+    def test_same_key_edits_match_in_order(self):
+        # Two reference edits share a key; the one hypothesis edit with
+        # that key is the earlier one's TP, the later one is the FN.
+        ref = [[edit(0, 1, "a", "ORTH"), edit(0, 1, "a", "SPELL")]]
+        hyp = [[edit(0, 1, "a", "MORPH")]]
+        report = score_corpus(ref, hyp)
+        assert (report.tp, report.fp, report.fn) == (1, 0, 1)
+        assert (report.per_type["ORTH"].tp, report.per_type["ORTH"].fn) == (1, 0)
+        assert (report.per_type["SPELL"].tp, report.per_type["SPELL"].fn) == (0, 1)
+        assert "MORPH" not in report.per_type
+
     def test_per_type_fp_uses_hyp_label(self):
         ref = [[]]
         hyp = [[edit(0, 1, "a", "MORPH")]]

@@ -112,6 +112,12 @@ class TestParseConllu:
             parse_conllu(io.StringIO(bad))
         assert err.value.line_no == 1
 
+    @pytest.mark.parametrize("token_id", ["\u00b2", "\u0661", "\uff11"])
+    def test_word_id_takes_ascii_digits_only(self, token_id):
+        bad = f"{token_id}\tcasa\tcasă\tNOUN\t_\t_\t0\troot\t_\t_\n"
+        with pytest.raises(MalformedLine, match="bad token id"):
+            parse_conllu(io.StringIO(bad))
+
     def test_bad_upos(self):
         bad = "1\tcasa\tcasă\tWRONG\t_\t_\t0\troot\t_\t_\n"
         with pytest.raises(MalformedLine):
