@@ -174,6 +174,12 @@ def _fill(
     return dist, op
 
 
+def _band_width(quotient: float, full: int) -> int:
+    """A band of quotient diagonals, or the whole table when costs that
+    overflowed to inf leave the quotient inf or NaN."""
+    return min(full, int(quotient)) if math.isfinite(quotient) else full
+
+
 def align(orig: Sentence, corr: Sentence, params: CostParams = DEFAULT_COSTS) -> list[AlignOp]:
     """Minimum-cost alignment path between two sentences.
 
@@ -212,7 +218,8 @@ def align(orig: Sentence, corr: Sentence, params: CostParams = DEFAULT_COSTS) ->
     value, and the bounds base and e * (insert + delete) within a few
     rounding steps of theirs: e_max is taken from U raised by a
     relative _ROUNDING * (n + m + 1), which covers both many times
-    over.
+    over.  Costs so large that these sums overflow to inf leave no band
+    to derive, and the whole table is filled.
     """
     o_toks, c_toks = orig.tokens, corr.tokens
     n, m = len(o_toks), len(c_toks)
@@ -226,12 +233,12 @@ def align(orig: Sentence, corr: Sentence, params: CostParams = DEFAULT_COSTS) ->
     delete_cost, insert_cost = params.delete_cost, params.insert_cost
     step = insert_cost + delete_cost
     full = min(n, m)  # a band this wide covers the whole table
-    width = min(full, int(_BAND_MARGIN * max(insert_cost, delete_cost) // step))
+    width = _band_width(_BAND_MARGIN * max(insert_cost, delete_cost) // step, full)
     dist, op = _fill(o_toks, c_toks, n, m, width, params)
     if width < full:
         base = (m - n) * insert_cost if m >= n else (n - m) * delete_cost
         budget = dist[n][m] * (1 + _ROUNDING * (n + m + 1))
-        needed = min(full, int((budget - base) // step))
+        needed = _band_width((budget - base) // step, full)
         if needed > width:
             dist, op = _fill(o_toks, c_toks, n, m, needed, params)
 

@@ -21,6 +21,7 @@ import contextlib
 import errno
 import io
 import logging
+import math
 import os
 import shutil
 import sys
@@ -255,8 +256,6 @@ def cmd_synth(args) -> int:
 
 def cmd_lm_train(args) -> int:
     log.info("lm-train: input=%s order=%d discount=%s output=%s", args.input, args.order, args.discount, args.output)
-    if args.order < 1:
-        raise UsageError(f"--order must be at least 1, got {args.order}")
 
     def sentences():
         with _open_in(args.input) as fh:
@@ -313,6 +312,33 @@ def cmd_rerank(args) -> int:
     return 0
 
 
+def _check_ranges(args) -> None:
+    """Raise UsageError for the first numeric flag outside its range.
+
+    A flag the command does not take, or left at a None default, is not
+    checked.  NaN fails every range.
+    """
+    ranges = {
+        "beta": ("finite and greater than 0", lambda v: 0 < v < math.inf),
+        "lm_weight": ("finite", math.isfinite),
+        "discount": ("strictly between 0 and 1", lambda v: 0 < v < 1),
+        "order": ("at least 1", lambda v: v >= 1),
+        "jobs": ("between 1 and 128", lambda v: 1 <= v <= 128),
+        "max_distance": ("at least 0", lambda v: v >= 0),
+        "confusion_size": ("at least 0", lambda v: v >= 0),
+        "min_words": ("at least 0", lambda v: v >= 0),
+        "mean_error_rate": ("between 0 and 1", lambda v: 0 <= v <= 1),
+        "char_word_rate": ("between 0 and 1", lambda v: 0 <= v <= 1),
+        "std_error_rate": ("finite and at least 0", lambda v: 0 <= v < math.inf),
+        "min_diacritic_ratio": ("finite and at least 0", lambda v: 0 <= v < math.inf),
+        "max_foreign_ratio": ("finite and at least 0", lambda v: 0 <= v < math.inf),
+    }
+    for name, (rule, ok) in ranges.items():
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise UsageError(f"--{name.replace('_', '-')} must be {rule}, got {value}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gectools",
@@ -351,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True, help="word list (word[<TAB>frequency] per line)")
     p.add_argument("--seed", type=int, required=True, help="base random seed")
     p.add_argument("-o", "--output", help="output TSV file (default stdout)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, 1 to 128 (default 1)")
     p.add_argument("--mean-error-rate", type=float, default=0.15)
     p.add_argument("--std-error-rate", type=float, default=0.2)
     p.add_argument("--confusion-size", type=int, default=20)
@@ -397,6 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(message)s",
     )
     try:
+        _check_ranges(args)
         return args.func(args)
     except (LengthMismatch, SentenceMismatch, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import IO, Iterable, Sequence
 
@@ -38,12 +39,17 @@ FALLBACK_DISCOUNT = 0.75
 
 @dataclass(frozen=True)
 class NgramCounts:
-    """Raw n-gram counts for every order up to `order`."""
+    """Raw n-gram counts for every order up to `order`.
+
+    counts[n-1] maps each n-gram, written as its words joined by single
+    spaces like the keys of ArpaModel.tables ("<s> fata merge"), to its
+    count.  Words contain no space.
+    """
 
     order: int
-    counts: tuple[dict[tuple[str, ...], int], ...]
+    counts: tuple[dict[str, int], ...]
 
-    def raw(self, n: int) -> dict[tuple[str, ...], int]:
+    def raw(self, n: int) -> dict[str, int]:
         return self.counts[n - 1]
 
 
@@ -51,19 +57,20 @@ def count_ngrams(sentences: Iterable[Sentence], order: int) -> NgramCounts:
     """Count n-grams of all orders 1..order over a sentence stream."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    counts: tuple[dict[tuple[str, ...], int], ...] = tuple({} for _ in range(order))
-    pad = (SOS,) * (order - 1)
+    counts = tuple(Counter() for _ in range(order))
+    pad = [SOS] * (order - 1)
     for sentence in sentences:
-        padded = pad + tuple(t.form for t in sentence.tokens) + (EOS,)
-        for n in range(1, order + 1):
-            table = counts[n - 1]
-            for i in range(len(padded) - n + 1):
-                gram = padded[i : i + n]
-                table[gram] = table.get(gram, 0) + 1
+        words = pad + [t.form for t in sentence.tokens] + [EOS]
+        grams = words
+        counts[0].update(grams)
+        # Each order's grams are the previous order's plus the next word.
+        for n in range(2, order + 1):
+            grams = [f"{gram} {word}" for gram, word in zip(grams, words[n - 1 :])]
+            counts[n - 1].update(grams)
     return NgramCounts(order=order, counts=counts)
 
 
-def _adjusted_counts(counts: NgramCounts) -> list[dict[tuple[str, ...], int]]:
+def _adjusted_counts(counts: NgramCounts) -> list[dict[str, int]]:
     """Kneser-Ney adjusted counts, with grams ending in <s> removed.
 
     The highest order keeps raw counts.  Below it, a gram's count is the
@@ -71,21 +78,24 @@ def _adjusted_counts(counts: NgramCounts) -> list[dict[tuple[str, ...], int]]:
     with <s> (which can never be preceded) keep their raw counts.
     """
     order = counts.order
-    adjusted: list[dict[tuple[str, ...], int]] = [dict() for _ in range(order)]
+    # A gram's first or last word is <s> when it starts or ends with one
+    # of these, or is <s> itself.
+    sos_first, sos_last = SOS + " ", " " + SOS
+    adjusted: list[dict[str, int]] = [dict() for _ in range(order)]
     adjusted[order - 1] = {
-        gram: c for gram, c in counts.raw(order).items() if gram[-1] != SOS
+        gram: c for gram, c in counts.raw(order).items() if not (gram.endswith(sos_last) or gram == SOS)
     }
     for n in range(order - 1, 0, -1):
-        continuation: dict[tuple[str, ...], int] = {}
+        continuation: dict[str, int] = {}
         for gram in counts.raw(n + 1):
-            suffix = gram[1:]
-            if suffix[0] != SOS:
+            suffix = gram[gram.find(" ") + 1 :]
+            if not (suffix.startswith(sos_first) or suffix == SOS):
                 continuation[suffix] = continuation.get(suffix, 0) + 1
         table = {}
         for gram, c in counts.raw(n).items():
-            if gram[-1] == SOS:
+            if gram.endswith(sos_last) or gram == SOS:
                 continue
-            if gram[0] == SOS:
+            if gram.startswith(sos_first):
                 table[gram] = c
             else:
                 cont = continuation.get(gram, 0)
@@ -178,56 +188,40 @@ def train_kneser_ney(
                 raise ValueError(f"discount must lie strictly between 0 and 1, got {d}")
 
     tables: list[dict[str, tuple[float, float]]] = [dict() for _ in range(order)]
-    gammas: list[dict[tuple[str, ...], float]] = [dict() for _ in range(order)]
+    # Dummy entries for the all-<s> grams, which the padding of any
+    # sentence holds, so they can carry backoff weights; and the <s>
+    # unigram itself even in a unigram model.
+    for n in range(1, max(order, 2)):
+        tables[n - 1][" ".join([SOS] * n)] = (DUMMY_LOGPROB, 0.0)
 
     # Unigrams: leftover mass goes to <unk>.
     d1 = ds[0]
     total = sum(adjusted[0].values())
-    n1plus = len(adjusted[0])
-    gamma_empty = d1 * n1plus / total
-    probs: dict[str, float] = {
-        gram[0]: (c - d1) / total for gram, c in adjusted[0].items()
-    }
-    probs[UNK] = probs.get(UNK, 0.0) + gamma_empty
-    for gram, p in probs.items():
-        tables[0][gram] = (math.log10(p), 0.0)
+    probs: dict[str, float] = {gram: (c - d1) / total for gram, c in adjusted[0].items()}
+    probs[UNK] = probs.get(UNK, 0.0) + d1 * len(adjusted[0]) / total
+    tables[0].update((gram, (math.log10(p), 0.0)) for gram, p in probs.items())
 
+    # Each order's backoff weights go on its contexts, in the table
+    # below, as soon as the order is done.
     for n in range(2, order + 1):
         dn = ds[n - 1]
-        ctx_total: dict[tuple[str, ...], int] = {}
-        ctx_distinct: dict[tuple[str, ...], int] = {}
+        ctx_total: dict[str, int] = {}
+        ctx_distinct: dict[str, int] = {}
         for gram, c in adjusted[n - 1].items():
-            ctx = gram[:-1]
+            ctx = gram[: gram.rfind(" ")]
             ctx_total[ctx] = ctx_total.get(ctx, 0) + c
             ctx_distinct[ctx] = ctx_distinct.get(ctx, 0) + 1
-        for ctx, den in ctx_total.items():
-            gammas[n - 2][ctx] = dn * ctx_distinct[ctx] / den
-        lower = tables[n - 2]
+        gammas = {ctx: dn * ctx_distinct[ctx] / den for ctx, den in ctx_total.items()}
+        lower, table = tables[n - 2], tables[n - 1]
         for gram, c in adjusted[n - 1].items():
-            ctx = gram[:-1]
-            den = ctx_total[ctx]
-            key = " ".join(gram)
-            # Suffix closure: the next-lower-order gram, the key without
+            ctx = gram[: gram.rfind(" ")]
+            # Suffix closure: the next-lower-order gram, the gram without
             # its first word, is always present.
-            p_low = 10.0 ** lower[key[len(gram[0]) + 1 :]][0]
-            p = max(c - dn, 0.0) / den + gammas[n - 2][ctx] * p_low
-            tables[n - 1][key] = (math.log10(p), 0.0)
-
-    # Dummy entries for the all-<s> grams so they can carry backoff
-    # weights; and the <s> unigram itself even in a unigram model.
-    for n in range(1, order):
-        gram = (SOS,) * n
-        if gram in counts.raw(n):
-            tables[n - 1][" ".join(gram)] = (DUMMY_LOGPROB, 0.0)
-    if order == 1 and SOS not in tables[0]:
-        tables[0][SOS] = (DUMMY_LOGPROB, 0.0)
-
-    # Attach backoff weights to context grams.
-    for n in range(1, order):
-        for ctx, gamma in gammas[n - 1].items():
-            key = " ".join(ctx)
-            logp, _ = tables[n - 1][key]
-            tables[n - 1][key] = (logp, math.log10(gamma))
+            p_low = 10.0 ** lower[gram[gram.find(" ") + 1 :]][0]
+            p = max(c - dn, 0.0) / ctx_total[ctx] + gammas[ctx] * p_low
+            table[gram] = (math.log10(p), 0.0)
+        for ctx, gamma in gammas.items():
+            lower[ctx] = (lower[ctx][0], math.log10(gamma))
 
     return ArpaModel(order=order, tables=tuple(tables))
 

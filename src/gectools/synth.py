@@ -34,6 +34,9 @@ ALPHABET = "aăâbcdefghiîjklmnopqrsștțuvwxyz"
 
 QUOTE_CHARS = frozenset('"\'«»„“”‘’‚‹›')
 
+# Confusion sets a ConfusionProvider caches before it starts over.
+CONFUSION_CACHE_LIMIT = 200_000
+
 RULE_NAMES = {
     1: "first letter not uppercase",
     2: "quotation marks or link markers",
@@ -159,10 +162,9 @@ class ConfusionProvider:
        built per length bucket the first time a query needs the bucket.
     """
 
-    def __init__(self, lexicon: Lexicon, max_distance: int = 2, cache_limit: int = 200_000):
+    def __init__(self, lexicon: Lexicon, max_distance: int = 2):
         self.lexicon = lexicon
         self.max_distance = max_distance
-        self._cache_limit = cache_limit
         self._cache: dict[tuple[str, int], list[str]] = {}
         self._buckets: dict[int, list[str]] = {}
         for word in lexicon.sorted_words:
@@ -182,7 +184,7 @@ class ConfusionProvider:
         if cached is not None:
             return cached
         result = self._search(lowered, k)
-        if len(self._cache) >= self._cache_limit:
+        if len(self._cache) >= CONFUSION_CACHE_LIMIT:
             self._cache.clear()
         self._cache[key] = result
         return result
@@ -320,49 +322,34 @@ def corrupt_sentence(
         stats.sentences += 1
         stats.changed_fraction_sum += n_changed / n
 
-    work = [t.form for t in sentence.tokens]
-    # Original position -> current index in work (None once deleted).
-    where: list[int | None] = list(range(n))
+    # (original position, or None for an inserted word; current form)
+    slots: list[tuple[int | None, str]] = list(enumerate(t.form for t in sentence.tokens))
 
     if n_changed > 0:
         for pos in rng.sample(range(n), n_changed):
             op = _draw_op(cfg, rng)
             if stats is not None:
                 stats.word_ops[op] += 1
-            cur = where[pos]
+            cur = next((i for i, (orig, _) in enumerate(slots) if orig == pos), None)
             if cur is None:
                 continue
             if op == "substitute":
-                candidates = provider.confusion_set(work[cur], cfg.confusion_size)
+                candidates = provider.confusion_set(slots[cur][1], cfg.confusion_size)
                 if candidates:
-                    work[cur] = candidates[rng.randrange(len(candidates))]
+                    slots[cur] = (pos, candidates[rng.randrange(len(candidates))])
                 elif stats is not None:
                     stats.no_candidate_subs += 1
             elif op == "delete":
-                work.pop(cur)
-                where[pos] = None
-                for i in range(n):
-                    w = where[i]
-                    if w is not None and w > cur:
-                        where[i] = w - 1
+                del slots[cur]
             elif op == "insert":
-                work.insert(cur + 1, provider.random_word(rng))
-                for i in range(n):
-                    w = where[i]
-                    if w is not None and w > cur:
-                        where[i] = w + 1
+                slots.insert(cur + 1, (None, provider.random_word(rng)))
             else:  # swap with the next word, or the previous one when last
-                if len(work) < 2:
+                if len(slots) < 2:
                     continue
-                other = cur + 1 if cur + 1 < len(work) else cur - 1
-                work[cur], work[other] = work[other], work[cur]
-                for i in range(n):
-                    w = where[i]
-                    if w == cur:
-                        where[i] = other
-                    elif w == other:
-                        where[i] = cur
+                other = cur + 1 if cur + 1 < len(slots) else cur - 1
+                slots[cur], slots[other] = slots[other], slots[cur]
 
+    work = [form for _, form in slots]
     n_char = _round_half_away(cfg.char_word_rate * len(work))
     if n_char > 0 and work:
         for pos in rng.sample(range(len(work)), min(n_char, len(work))):

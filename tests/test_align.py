@@ -244,6 +244,21 @@ class TestAlignPath:
         assert [op.kind for op in ops] == [DELETE, MATCH, MATCH, MATCH, INSERT]
         assert priced and len(priced) == len(set(priced))
 
+    @pytest.mark.parametrize(
+        "n, m, cost",
+        [(60, 3, 1e307), (60, 3, 1e308), (3, 5, 1e308)],
+        ids=["sum-overflows", "cost-sum-overflows", "cost-sum-overflows-short"],
+    )
+    def test_overflowing_costs_match_full_table(self, n, m, cost):
+        # The table's sums, or insert_cost + delete_cost itself, overflow
+        # to inf, so no band width can be derived from them.
+        forms = "abcd"
+        orig = sent(*(forms[i % 4] for i in range(n)))
+        corr = sent(*(forms[(i * 3) % 4] for i in range(m)))
+        params = CostParams(insert_cost=cost, delete_cost=cost)
+        got = [(op.kind, op.o_index, op.c_index) for op in align(orig, corr, params)]
+        assert got == ref_align_path(orig, corr, params)
+
     def test_common_prefix_is_not_matched_outright(self):
         ops = align(sent("a"), sent("a", "a", "b"))
         assert [(op.kind, op.o_index, op.c_index) for op in ops] == [

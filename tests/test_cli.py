@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gectools.cli import main
+from gectools.cli import UsageError, _check_ranges, build_parser, main
 
 ORIG = "în cazul unei paciente internată joi\nmergem acasă\n"
 CORR = "în cazul unei paciente internate joi\nmergem acasă\n"
@@ -302,6 +302,22 @@ BAD_INPUTS = [
      ["rerank", "m.arpa", "nb.txt"], 1, "m.arpa: line 6: gram does not match"),
     ("rerank-bad-nbest", {"m.arpa": MODEL, "nb.txt": "Ana .\t0\n\nAna\n"},
      ["rerank", "m.arpa", "nb.txt"], 1, "nb.txt: line 3: expected 'sentence<TAB>score'"),
+    ("rerank-lm-weight-nan", {"m.arpa": MODEL, "nb.txt": "Ana .\t0\n"},
+     ["rerank", "m.arpa", "nb.txt", "--lm-weight", "nan"], 2, "--lm-weight must be finite, got nan"),
+    ("synth-char-word-rate-nan", {"in.txt": CLEAN, "lex.txt": "casa\n"},
+     ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1", "--char-word-rate", "nan"], 2,
+     "--char-word-rate must be between 0 and 1, got nan"),
+    # Rejected before any worker process starts.
+    ("synth-jobs-0", {"in.txt": CLEAN, "lex.txt": "casa\n"},
+     ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1", "--jobs", "0"], 2, "--jobs must be between 1"),
+    ("synth-max-distance-negative", {"in.txt": CLEAN, "lex.txt": "casa\n"},
+     ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1", "--max-distance", "-1"], 2,
+     "--max-distance must be at least 0, got -1"),
+    ("synth-mean-error-rate-2", {"in.txt": CLEAN, "lex.txt": "casa\n"},
+     ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1", "--mean-error-rate", "2"], 2,
+     "--mean-error-rate must be between 0 and 1, got 2.0"),
+    ("lm-train-discount-2", {"in.txt": CLEAN}, ["lm-train", "in.txt", "--discount", "2"], 2,
+     "--discount must be strictly between 0 and 1, got 2.0"),
 ]
 
 # The same for commands that take no -o.
@@ -319,6 +335,10 @@ BAD_INPUTS_NO_OUTPUT = [
      ["stats", "in.m2"], 1, "in.m2: line 5: annotator '1' after annotator '0' of line 2"),
     ("score-two-annotators", {"ref.m2": M2_TWO_ANNOTATORS_SAME_TOKENS, "hyp.m2": M2_AB},
      ["score", "ref.m2", "hyp.m2"], 1, "ref.m2: line 3: annotator '1' after annotator '0' of line 2"),
+    ("score-beta-nan", {"ref.m2": M2_AB, "hyp.m2": M2_AB},
+     ["score", "ref.m2", "hyp.m2", "--beta", "nan"], 2, "--beta must be finite and greater than 0, got nan"),
+    ("score-beta-negative", {"ref.m2": M2_AB, "hyp.m2": M2_AB},
+     ["score", "ref.m2", "hyp.m2", "--beta", "-1"], 2, "--beta must be finite and greater than 0, got -1.0"),
 ]
 
 
@@ -376,6 +396,15 @@ class TestBadInputs:
     def test_one_error_line_no_output_flag(self, tmp_path, files_in, argv, code, needle):
         returncode, _, stderr = run_cli(tmp_path, files_in, argv)
         assert_one_error_line(returncode, stderr, code, needle)
+
+
+class TestFlagRanges:
+    def test_jobs_cap(self):
+        # Checked on the parsed flags alone: no command, so no pool, runs.
+        argv = ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1", "--jobs"]
+        _check_ranges(build_parser().parse_args([*argv, "128"]))
+        with pytest.raises(UsageError, match="--jobs must be between 1 and 128, got 129"):
+            _check_ranges(build_parser().parse_args([*argv, "129"]))
 
 
 class TestWarnings:

@@ -1,12 +1,15 @@
 """Kneser-Ney training, ARPA round-trips, querying, and re-ranking."""
 
+import copy
 import io
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gectools.cli import main
 from gectools.errors import DegenerateCounts, EmptyInput, GecToolsError, MalformedArpa, MalformedLine
 from gectools.lm import (
     EOS,
@@ -27,6 +30,7 @@ from gectools.lm import (
 )
 from gectools.m2 import read_m2
 from gectools.text import Sentence, Token, parse_conllu
+from tests.conftest import DATA
 from tests.oracles import RefKneserNey, ref_read_arpa
 
 # Tiny fixture corpora legitimately trip the sparse-counts fallback.
@@ -44,13 +48,27 @@ def train(texts, order, discounts=None):
 class TestCounting:
     def test_bigram_padding(self):
         counts = count_ngrams([sent("a b")], 2)
-        assert counts.raw(1) == {("<s>",): 1, ("a",): 1, ("b",): 1, ("</s>",): 1}
-        assert counts.raw(2) == {("<s>", "a"): 1, ("a", "b"): 1, ("b", "</s>"): 1}
+        assert counts.raw(1) == {"<s>": 1, "a": 1, "b": 1, "</s>": 1}
+        assert counts.raw(2) == {"<s> a": 1, "a b": 1, "b </s>": 1}
 
     def test_trigram_padding_doubles_sos(self):
         counts = count_ngrams([sent("a")], 3)
-        assert counts.raw(3) == {("<s>", "<s>", "a"): 1, ("<s>", "a", "</s>"): 1}
-        assert counts.raw(2)[("<s>", "<s>")] == 1
+        assert counts.raw(3) == {"<s> <s> a": 1, "<s> a </s>": 1}
+        assert counts.raw(2)["<s> <s>"] == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        texts=st.lists(st.lists(st.sampled_from(["a", "b", "ă", "<s>", "</s>", "a\x01"]), max_size=6), max_size=4),
+        order=st.integers(1, 5),
+    )
+    def test_keys_are_tuple_grams_joined_by_spaces(self, texts, order):
+        counts = count_ngrams([Sentence(tuple(Token(w) for w in words)) for words in texts], order)
+        for n in range(1, order + 1):
+            expect = Counter()
+            for words in texts:
+                padded = [SOS] * (order - 1) + words + [EOS]
+                expect.update(tuple(padded[i : i + n]) for i in range(len(padded) - n + 1))
+            assert counts.raw(n) == {" ".join(gram): c for gram, c in expect.items()}
 
 
 class TestTraining:
@@ -125,6 +143,40 @@ class TestTraining:
         model = train(["a b", "b a"], 2)
         assert UNK in model.vocab
         assert logprob(model, sent("zz")) == logprob(model, sent(UNK))
+
+    def test_counts_left_unchanged(self):
+        counts = count_ngrams([sent(t) for t in ["a b c a", "<s> b a", "c"]], 4)
+        before = copy.deepcopy(counts)
+        train_kneser_ney(counts)
+        assert counts == before
+
+
+# A literal <s> word (after the padding, where it only lengthens the
+# <s> run), and a word holding a character that sorts below the space
+# ("la\x01x acasă" sorts before "la școală" as a string, after it word
+# by word).
+GOLDEN_CORPUS = (
+    "Ana are mere și pere .\n"
+    "<s> fata merge la\x01x acasă .\n"
+    "Ana are pere .\n"
+    "el merge acasă , ea merge la școală .\n"
+    "fata are mere .\n"
+)
+
+
+class TestGoldenArpa:
+    @pytest.mark.parametrize("discount", [None, "0.4"])
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    def test_lm_train_bytes(self, tmp_path, order, discount):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(GOLDEN_CORPUS, encoding="utf-8")
+        out = tmp_path / "model.arpa"
+        argv = ["lm-train", str(corpus), "--order", str(order), "-o", str(out)]
+        if discount is not None:
+            argv += ["--discount", discount]
+        assert main(argv) == 0
+        name = f"order{order}" + (f"_discount{discount}" if discount else "") + ".arpa"
+        assert out.read_bytes() == (DATA / "lm_golden" / name).read_bytes()
 
 
 class TestArpaIO:
