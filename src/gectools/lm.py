@@ -8,12 +8,17 @@ for grams starting with <s>, which keep their raw counts.  Models are
 stored the standard ARPA way: per-gram log10 probability plus a log10
 backoff weight on every gram that serves as a context.
 
-<s> is never predicted.  Grams ending in <s> (necessarily runs of <s>
-from the padding) therefore carry no probability mass; they appear as
+<s> is never predicted.  Grams ending in <s> (the runs of <s> from the
+padding, or grams ending in a literal <s> word of the text) therefore
+carry no probability mass; those that serve as a context appear as
 dummy entries with log10 probability -99 so they can hold their backoff
 weight, mirroring the conventional treatment of the <s> unigram.  With
 that convention, the probabilities of any observed context sum to one
 over the vocabulary minus <s>.
+
+Training estimates one order at a time, so beside the counts and the
+model only that order's adjusted counts are held; reading holds a
+bounded chunk of lines beside the model.
 """
 
 from __future__ import annotations
@@ -70,42 +75,37 @@ def count_ngrams(sentences: Iterable[Sentence], order: int) -> NgramCounts:
     return NgramCounts(order=order, counts=counts)
 
 
-def _adjusted_counts(counts: NgramCounts) -> list[dict[str, int]]:
-    """Kneser-Ney adjusted counts, with grams ending in <s> removed.
+def _adjusted_counts(counts: NgramCounts, n: int) -> dict[str, int]:
+    """Order n's Kneser-Ney adjusted counts, with grams ending in <s> removed.
 
     The highest order keeps raw counts.  Below it, a gram's count is the
     number of distinct words that precede it, except that grams starting
     with <s> (which can never be preceded) keep their raw counts.
     """
-    order = counts.order
     # A gram's first or last word is <s> when it starts or ends with one
     # of these, or is <s> itself.
     sos_first, sos_last = SOS + " ", " " + SOS
-    adjusted: list[dict[str, int]] = [dict() for _ in range(order)]
-    adjusted[order - 1] = {
-        gram: c for gram, c in counts.raw(order).items() if not (gram.endswith(sos_last) or gram == SOS)
-    }
-    for n in range(order - 1, 0, -1):
-        continuation: dict[str, int] = {}
-        for gram in counts.raw(n + 1):
-            suffix = gram[gram.find(" ") + 1 :]
-            if not (suffix.startswith(sos_first) or suffix == SOS):
-                continuation[suffix] = continuation.get(suffix, 0) + 1
-        table = {}
-        for gram, c in counts.raw(n).items():
-            if gram.endswith(sos_last) or gram == SOS:
-                continue
-            if gram.startswith(sos_first):
-                table[gram] = c
-            else:
-                cont = continuation.get(gram, 0)
-                if cont > 0:
-                    table[gram] = cont
-        adjusted[n - 1] = table
-    return adjusted
+    if n == counts.order:
+        return {gram: c for gram, c in counts.raw(n).items() if not (gram.endswith(sos_last) or gram == SOS)}
+    continuation: dict[str, int] = {}
+    for gram in counts.raw(n + 1):
+        suffix = gram[gram.find(" ") + 1 :]
+        if not (suffix.startswith(sos_first) or suffix == SOS):
+            continuation[suffix] = continuation.get(suffix, 0) + 1
+    table = {}
+    for gram, c in counts.raw(n).items():
+        if gram.endswith(sos_last) or gram == SOS:
+            continue
+        if gram.startswith(sos_first):
+            table[gram] = c
+        else:
+            cont = continuation.get(gram, 0)
+            if cont > 0:
+                table[gram] = cont
+    return table
 
 
-def _estimate_discount(adjusted: dict[tuple[str, ...], int], n: int) -> float:
+def _estimate_discount(adjusted: dict[str, int], n: int) -> float:
     n1 = sum(1 for c in adjusted.values() if c == 1)
     n2 = sum(1 for c in adjusted.values() if c == 2)
     if n1 == 0 or n2 == 0:
@@ -170,13 +170,12 @@ def train_kneser_ney(
     (with a DegenerateCounts warning) when the statistics are too sparse.
     """
     order = counts.order
-    adjusted = _adjusted_counts(counts)
-    if not adjusted[0]:
+    unigrams = _adjusted_counts(counts, 1)
+    if not unigrams:
         raise EmptyInput("cannot train a model from an empty corpus")
 
-    if discounts is None:
-        ds = [_estimate_discount(adjusted[n - 1], n) for n in range(1, order + 1)]
-    else:
+    ds: list[float | None] = [None] * order
+    if discounts is not None:
         if isinstance(discounts, (int, float)):
             ds = [float(discounts)] * order
         else:
@@ -195,35 +194,51 @@ def train_kneser_ney(
         tables[n - 1][" ".join([SOS] * n)] = (DUMMY_LOGPROB, 0.0)
 
     # Unigrams: leftover mass goes to <unk>.
-    d1 = ds[0]
-    total = sum(adjusted[0].values())
-    probs: dict[str, float] = {gram: (c - d1) / total for gram, c in adjusted[0].items()}
-    probs[UNK] = probs.get(UNK, 0.0) + d1 * len(adjusted[0]) / total
+    d1 = _estimate_discount(unigrams, 1) if ds[0] is None else ds[0]
+    total = sum(unigrams.values())
+    probs: dict[str, float] = {gram: (c - d1) / total for gram, c in unigrams.items()}
+    probs[UNK] = probs.get(UNK, 0.0) + d1 * len(unigrams) / total
     tables[0].update((gram, (math.log10(p), 0.0)) for gram, p in probs.items())
+    del unigrams, probs
 
-    # Each order's backoff weights go on its contexts, in the table
-    # below, as soon as the order is done.
+    # One order at a time: its adjusted counts and context sums are gone
+    # before the next order's are built.
     for n in range(2, order + 1):
-        dn = ds[n - 1]
-        ctx_total: dict[str, int] = {}
-        ctx_distinct: dict[str, int] = {}
-        for gram, c in adjusted[n - 1].items():
-            ctx = gram[: gram.rfind(" ")]
-            ctx_total[ctx] = ctx_total.get(ctx, 0) + c
-            ctx_distinct[ctx] = ctx_distinct.get(ctx, 0) + 1
-        gammas = {ctx: dn * ctx_distinct[ctx] / den for ctx, den in ctx_total.items()}
-        lower, table = tables[n - 2], tables[n - 1]
-        for gram, c in adjusted[n - 1].items():
-            ctx = gram[: gram.rfind(" ")]
-            # Suffix closure: the next-lower-order gram, the gram without
-            # its first word, is always present.
-            p_low = 10.0 ** lower[gram[gram.find(" ") + 1 :]][0]
-            p = max(c - dn, 0.0) / ctx_total[ctx] + gammas[ctx] * p_low
-            table[gram] = (math.log10(p), 0.0)
-        for ctx, gamma in gammas.items():
-            lower[ctx] = (lower[ctx][0], math.log10(gamma))
+        _estimate_order(_adjusted_counts(counts, n), n, ds[n - 1], tables[n - 2], tables[n - 1])
 
     return ArpaModel(order=order, tables=tuple(tables))
+
+
+def _estimate_order(
+    adjusted: dict[str, int],
+    n: int,
+    dn: float | None,
+    lower: dict[str, tuple[float, float]],
+    table: dict[str, tuple[float, float]],
+) -> None:
+    """Fill table with order n's entries and put its backoff weights on
+    its contexts in lower, the finished table of order n - 1."""
+    if dn is None:
+        dn = _estimate_discount(adjusted, n)
+    ctx_total: dict[str, int] = {}
+    ctx_distinct: dict[str, int] = {}
+    for gram, c in adjusted.items():
+        ctx = gram[: gram.rfind(" ")]
+        ctx_total[ctx] = ctx_total.get(ctx, 0) + c
+        ctx_distinct[ctx] = ctx_distinct.get(ctx, 0) + 1
+    gammas = {ctx: dn * ctx_distinct[ctx] / den for ctx, den in ctx_total.items()}
+    for gram, c in adjusted.items():
+        ctx = gram[: gram.rfind(" ")]
+        # Suffix closure: the next-lower-order gram, the gram without
+        # its first word, is always present.
+        p_low = 10.0 ** lower[gram[gram.find(" ") + 1 :]][0]
+        p = max(c - dn, 0.0) / ctx_total[ctx] + gammas[ctx] * p_low
+        table[gram] = (math.log10(p), 0.0)
+    for ctx, gamma in gammas.items():
+        # A context ending in a literal <s> word of the text has no entry
+        # of its own: it gets a dummy one to carry its backoff weight.
+        entry = lower.get(ctx)
+        lower[ctx] = (DUMMY_LOGPROB if entry is None else entry[0], math.log10(gamma))
 
 
 # Characters that sort before the space separating a gram's words.
@@ -245,7 +260,7 @@ def write_arpa(model: ArpaModel, out: IO[str]) -> None:
         out.write(f"\n\\{n}-grams:\n")
         # Gram strings sort as their word tuples unless some word holds a
         # character that sorts before the separating space.
-        key = (lambda g: g.split(" ")) if _BELOW_SPACE.search("".join(table)) else None
+        key = (lambda g: g.split(" ")) if any(map(_BELOW_SPACE.search, table)) else None
         for gram in sorted(table, key=key):
             logp, logbo = table[gram]
             if n < model.order:
@@ -253,6 +268,11 @@ def write_arpa(model: ArpaModel, out: IO[str]) -> None:
             else:
                 out.write(f"{logp:.10f}\t{gram}\n")
     out.write("\n\\end\\\n")
+
+
+# Lines of a section parsed as one block: this bounds the working lists
+# read_arpa holds beside the model.
+_ARPA_CHUNK = 1024
 
 
 def _parse_block(block: list[str], n: int) -> dict[str, tuple[float, float]] | None:
@@ -291,9 +311,10 @@ def read_arpa(lines: Iterable[str]) -> ArpaModel:
     """Parse a textual ARPA model.
 
     The lines after a section header, as many as the header declared,
-    are parsed as one block (see _parse_block); a block that does not
-    parse whole is read line by line instead, so errors and their line
-    numbers are those of a plain line-by-line reader.
+    are parsed in blocks of at most _ARPA_CHUNK lines (see _parse_block);
+    from the first block that does not parse whole on, the file is read
+    line by line instead, so errors and their line numbers are those of
+    a plain line-by-line reader.
     """
     declared: list[int] = []
     tables: list[dict[str, tuple[float, float]]] = []
@@ -324,13 +345,15 @@ def read_arpa(lines: Iterable[str]) -> ArpaModel:
             if not 1 <= current <= len(declared):
                 raise MalformedArpa(line_no, f"unexpected section order {current}")
             section = 2
-            block = list(islice(rows, max(declared[current - 1], 0)))
-            entries = _parse_block(block, current)
-            if entries is None:
-                rows = chain(block, rows)
-            else:
+            left = declared[current - 1]
+            while left > 0 and (block := list(islice(rows, min(left, _ARPA_CHUNK)))):
+                entries = _parse_block(block, current)
+                if entries is None:
+                    rows = chain(block, rows)
+                    break
                 tables[current - 1].update(entries)
                 line_no += len(block)
+                left -= len(block)
             continue
         if section == 1:
             if not line.startswith("ngram "):
@@ -443,11 +466,16 @@ def rerank(hypotheses: Sequence[Hypothesis], model: ArpaModel, cfg: RerankConfig
     return best
 
 
+# A decimal number in ASCII digits, as the n-best score field holds it.
+_SCORE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 def read_nbest(lines: Iterable[str]) -> list[list[Hypothesis]]:
     """Parse n-best lists: "tokens<TAB>score" lines, blank-line separated.
 
     Sentences are split on whitespace (decoder output is assumed to be
-    tokenized already).
+    tokenized already).  A score is a finite decimal number in ASCII
+    digits, with optional sign, point and exponent.
     """
     groups: list[list[Hypothesis]] = []
     current: list[Hypothesis] = []
@@ -461,10 +489,8 @@ def read_nbest(lines: Iterable[str]) -> list[list[Hypothesis]]:
         text, sep, score_str = line.rpartition("\t")
         if not sep:
             raise MalformedLine(line_no, "expected 'sentence<TAB>score'")
-        try:
-            score = float(score_str)
-        except ValueError:
-            raise MalformedLine(line_no, f"bad score: {score_str!r}") from None
+        if not (_SCORE.fullmatch(score_str.strip()) and math.isfinite(score := float(score_str))):
+            raise MalformedLine(line_no, f"bad score: {score_str!r}")
         tokens = tuple(Token(f) for f in text.split())
         current.append(Hypothesis(sentence=Sentence(tokens), model_score=score))
     if current:

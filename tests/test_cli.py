@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour, exit codes included."""
 
+import io
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from gectools.cli import UsageError, _check_ranges, build_parser, main
+from gectools.lm import read_arpa
 
 ORIG = "în cazul unei paciente internată joi\nmergem acasă\n"
 CORR = "în cazul unei paciente internate joi\nmergem acasă\n"
@@ -302,6 +304,10 @@ BAD_INPUTS = [
      ["rerank", "m.arpa", "nb.txt"], 1, "m.arpa: line 6: gram does not match"),
     ("rerank-bad-nbest", {"m.arpa": MODEL, "nb.txt": "Ana .\t0\n\nAna\n"},
      ["rerank", "m.arpa", "nb.txt"], 1, "nb.txt: line 3: expected 'sentence<TAB>score'"),
+    # Scores must be finite decimal numbers in ASCII digits.
+    *[(f"rerank-nbest-score-{score}", {"m.arpa": MODEL, "nb.txt": f"Ana .\t0\n\nAna .\t{score}\n"},
+       ["rerank", "m.arpa", "nb.txt"], 1, f"nb.txt: line 3: bad score: '{score}'")
+      for score in ("nan", "inf", "1e999", "1_0")],
     ("rerank-lm-weight-nan", {"m.arpa": MODEL, "nb.txt": "Ana .\t0\n"},
      ["rerank", "m.arpa", "nb.txt", "--lm-weight", "nan"], 2, "--lm-weight must be finite, got nan"),
     ("synth-char-word-rate-nan", {"in.txt": CLEAN, "lex.txt": "casa\n"},
@@ -416,6 +422,21 @@ class TestWarnings:
         assert len(lines) == 1, stderr
         assert lines[0].startswith("warning: order 2: count-of-counts too sparse")
         assert "lm.py" not in stderr
+
+
+class TestLiteralSos:
+    @pytest.mark.parametrize("order", ["3", "5"])
+    def test_lm_train_reads_back(self, tmp_path, order):
+        # A literal <s> word after another word: its context "are <s>"
+        # ends in <s>.
+        returncode, stdout, stderr = run_cli(
+            tmp_path, {"-": "Ana are <s> mere .\n".encode()}, ["lm-train", "-", "--order", order]
+        )
+        assert returncode == 0, stderr
+        assert all(line.startswith("warning: ") for line in stderr.splitlines()), stderr
+        model = read_arpa(io.StringIO(stdout))
+        assert model.order == int(order)
+        assert "are <s>" in model.tables[1]
 
 
 class TestOutputFile:

@@ -3,12 +3,15 @@
 import copy
 import io
 import math
+import tracemalloc
+import warnings
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gectools import lm
 from gectools.cli import main
 from gectools.errors import DegenerateCounts, EmptyInput, GecToolsError, MalformedArpa, MalformedLine
 from gectools.lm import (
@@ -30,7 +33,7 @@ from gectools.lm import (
 )
 from gectools.m2 import read_m2
 from gectools.text import Sentence, Token, parse_conllu
-from tests.conftest import DATA
+from tests.conftest import DATA, make_clean_lines, make_words
 from tests.oracles import RefKneserNey, ref_read_arpa
 
 # Tiny fixture corpora legitimately trip the sparse-counts fallback.
@@ -138,6 +141,35 @@ class TestTraining:
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyInput):
             train_kneser_ney(count_ngrams([], 2))
+
+    def test_checks_in_order(self):
+        # An empty corpus first, then the caller's discounts, then the
+        # estimated ones, warned about from the lowest order up.
+        with pytest.raises(EmptyInput):
+            train_kneser_ney(count_ngrams([], 3), discounts=[0.5, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="got 2.0"):
+                train(["a b"], 3, discounts=[0.5, 0.5, 2.0])
+        with pytest.warns(DegenerateCounts) as record:
+            train(["a b"], 3)
+        assert [str(w.message)[:8] for w in record] == ["order 1:", "order 2:", "order 3:"]
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_literal_sos_contexts_sum_to_one(self, order):
+        # A literal <s> word after other words makes contexts that end in
+        # <s> ("are <s>"); they get dummy entries to hold their backoff.
+        texts = ["Ana are <s> mere .", "el are <s> <s> pere", "Ana are mere <s>", "<s> el are mere ."]
+        model = train(texts, order)
+        assert model.tables[1]["are <s>"][0] == lm.DUMMY_LOGPROB
+        contexts = {()}
+        for n in range(2, order + 1):
+            contexts.update(tuple(gram.split(" "))[:-1] for gram in model.tables[n - 1])
+        assert ("are", SOS) in contexts
+        words = [w for w in model.vocab if w != SOS]
+        for context in contexts:
+            total = sum(10 ** model.word_logprob(w, context) for w in words)
+            assert total == pytest.approx(1.0, abs=1e-6), context
 
     def test_unk_in_vocab_and_queried_for_oov(self):
         model = train(["a b", "b a"], 2)
@@ -341,6 +373,57 @@ class TestReadArpaMatchesLineReader:
         assert got == _arpa_outcome(ref_read_arpa, io.StringIO(buf.getvalue()))
         assert got[0] == 3 and all(got[1])
 
+    # With chunks of 1 or 3 lines, sections span several chunks, and a bad
+    # line can fall in a later chunk than good ones.
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize(
+        "feed", [io.StringIO, str.splitlines], ids=["stream", "unterminated-lines"]
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(text=arpa_texts())
+    def test_same_model_or_same_error_in_small_chunks(self, feed, chunk, text):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lm, "_ARPA_CHUNK", chunk)
+            assert _arpa_outcome(read_arpa, feed(text)) == _arpa_outcome(ref_read_arpa, feed(text))
+
+    @pytest.mark.parametrize("chunk", [1, 3, lm._ARPA_CHUNK])
+    def test_written_model_with_one_bad_line(self, monkeypatch, chunk):
+        monkeypatch.setattr(lm, "_ARPA_CHUNK", chunk)
+        self.test_written_model()
+        model = train(["a b c a", "c b a", "b b a c"], 3)
+        buf = io.StringIO()
+        write_arpa(model, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        entries = [i for i, line in enumerate(lines) if "\t" in line]
+        assert len(entries) > 20
+        for i in entries:
+            for bad in (lines[i].replace("\t", "\tx ", 1), "x" + lines[i], lines[i].rstrip("\n") + "\t-1\n"):
+                text = "".join(lines[:i] + [bad] + lines[i + 1 :])
+                got = _arpa_outcome(read_arpa, io.StringIO(text))
+                assert got == _arpa_outcome(ref_read_arpa, io.StringIO(text)), (i, bad)
+
+
+class TestReadArpaMemory:
+    def test_peak_is_bounded_by_the_model(self):
+        # The reader holds one chunk of lines beside the model, not a
+        # whole section.  tracemalloc counts the same allocations on every
+        # run, so this is a count, not a timing.
+        texts = make_clean_lines(1500, make_words(2000), seed=8)
+        model = train(texts, 3)
+        assert sum(map(len, model.tables)) >= 20_000
+        buf = io.StringIO()
+        write_arpa(model, buf)
+        source = io.StringIO(buf.getvalue())
+        del model, buf
+        tracemalloc.start()
+        try:
+            loaded = read_arpa(source)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, loaded.tables)) >= 20_000
+        assert peak <= 1.25 * size, (peak, size)
+
 
 # M2-like texts: S lines, A lines with odd spans, labels, corrections,
 # field counts and annotator ids, noop lines, and stray lines.
@@ -489,3 +572,12 @@ class TestReadNbest:
     def test_bad_score_rejected(self):
         with pytest.raises(MalformedLine):
             read_nbest(io.StringIO("a b\tnot-a-number\n"))
+
+    @pytest.mark.parametrize("score", ["-1", "+2.5", "3.", ".5", "-1.5e-3", "1E2", " -0.25 "])
+    def test_decimal_scores_read(self, score):
+        assert read_nbest(io.StringIO(f"a\t{score}\n"))[0][0].model_score == float(score)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-Infinity", "1e999", "1_0", "\u0663", ".", "1e", "0x10", ""])
+    def test_non_decimal_or_infinite_score_rejected(self, score):
+        with pytest.raises(MalformedLine, match="line 2: bad score"):
+            read_nbest(io.StringIO(f"a\t0\nb\t{score}\n"))
