@@ -6,11 +6,11 @@ error generation (synth), language-model training and scoring (lm-train,
 lm-score) and n-best re-ranking (rerank).
 
 Exit codes: 0 on success, 1 on data errors (malformed, inconsistent or
-non-UTF-8 input files), 2 on usage errors, including out-of-range
-option values and paired inputs that do not pair up (their lengths, or
-the sentences at one position, differ).  Either error is reported as
-one line starting with "error:", and a warning, such as a discount
-lm-train could not estimate, as one line starting with "warning:".  An
+non-UTF-8 input files), 2 on usage errors: a malformed or out-of-range
+option value, a missing argument, or paired inputs that do not pair up
+(their lengths, or the sentences at one position, differ).  Each error
+is one line starting with "error:", each warning (such as a discount
+lm-train could not estimate) one line starting with "warning:".  An
 output file given with -o is replaced only when the command succeeds.
 """
 
@@ -20,7 +20,6 @@ import argparse
 import contextlib
 import errno
 import io
-import logging
 import math
 import os
 import shutil
@@ -45,11 +44,12 @@ from gectools.m2 import read_m2, write_m2
 from gectools.score import corpus_stats, format_stats, score_corpus
 from gectools.text import parse_conllu, render, tokenize
 
-log = logging.getLogger("gectools")
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error as one "error:" line."""
 
-class UsageError(GecToolsError):
-    """A command-line value is outside the range its command accepts."""
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
 @contextlib.contextmanager
@@ -128,27 +128,30 @@ def _open_out(path: str | None) -> Iterator[IO[str]]:
         raise
 
 
+def _sentences(lines):
+    """The tokenized sentence of each non-blank line."""
+    for line in lines:
+        if line.strip():
+            yield tokenize(line)
+
+
 def _read_sentences(path: str, conllu: bool):
     with _open_in(path) as fh:
-        if conllu:
-            return parse_conllu(fh)
-        return [tokenize(line) for line in fh if line.strip()]
+        return parse_conllu(fh) if conllu else list(_sentences(fh))
+
+
+def _pair(path_a: str, a: list, path_b: str, b: list) -> list:
+    """zip(a, b) as a list; LengthMismatch naming both paths if their lengths differ."""
+    if len(a) != len(b):
+        raise LengthMismatch(f"{path_a} has {len(a)} sentences, {path_b} has {len(b)}")
+    return list(zip(a, b))
 
 
 def cmd_extract(args) -> int:
-    log.info(
-        "extract: orig=%s corr=%s conllu=%s lexicon=%s", args.orig, args.corr, args.conllu, args.lexicon
-    )
-    orig_sents = _read_sentences(args.orig, args.conllu)
-    corr_sents = _read_sentences(args.corr, args.conllu)
-    if len(orig_sents) != len(corr_sents):
-        raise LengthMismatch(
-            f"{args.orig} has {len(orig_sents)} sentences, {args.corr} has {len(corr_sents)}"
-        )
-    pairs = list(zip(orig_sents, corr_sents))
-    if args.conllu and args.lexicon:
-        lexicon = Lexicon.from_file(args.lexicon)
-        edit_lists = classify_all(pairs, lexicon)
+    pairs = _pair(args.orig, _read_sentences(args.orig, args.conllu),
+                  args.corr, _read_sentences(args.corr, args.conllu))
+    if args.lexicon:
+        edit_lists = classify_all(pairs, Lexicon.from_file(args.lexicon))
     else:
         edit_lists = [extract_edits(orig, corr) for orig, corr in pairs]
     with _open_out(args.output) as out:
@@ -158,14 +161,12 @@ def cmd_extract(args) -> int:
 
 
 def cmd_score(args) -> int:
-    log.info("score: ref=%s hyp=%s beta=%s", args.ref, args.hyp, args.beta)
     with _open_in(args.ref) as fh:
         ref = read_m2(fh)
     with _open_in(args.hyp) as fh:
         hyp = read_m2(fh)
-    if len(ref) != len(hyp):
-        raise LengthMismatch(f"{args.ref} has {len(ref)} sentences, {args.hyp} has {len(hyp)}")
-    for i, ((ref_sentence, _), (hyp_sentence, _)) in enumerate(zip(ref, hyp), start=1):
+    pairs = _pair(args.ref, ref, args.hyp, hyp)
+    for i, ((ref_sentence, _), (hyp_sentence, _)) in enumerate(pairs, start=1):
         if ref_sentence.forms != hyp_sentence.forms:
             raise SentenceMismatch(
                 f"sentence {i} differs: {args.ref} has {' '.join(ref_sentence.forms)!r}, "
@@ -220,18 +221,12 @@ def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_filter(args) -> int:
     cfg = _filter_config(args)
-    log.info("filter: input=%s %s", args.input, cfg)
     stats = synth_mod.SynthStats()
     with _open_in(args.input) as fh, _open_out(args.output) as out:
         for raw_line in fh:
             line = raw_line.rstrip("\n")
-            stats.total_lines += 1
-            rule = synth_mod.filter_sentence(line, cfg)
-            if rule is None:
-                stats.accepted += 1
+            if stats.count(synth_mod.filter_sentence(line, cfg)):
                 out.write(line + "\n")
-            else:
-                stats.rejected_by_rule[rule] += 1
     print(stats.format(), file=sys.stderr)
     return 0
 
@@ -245,7 +240,6 @@ def cmd_synth(args) -> int:
         char_word_rate=args.char_word_rate,
         seed=args.seed,
     )
-    log.info("synth: input=%s seed=%d jobs=%d %s %s", args.input, args.seed, args.jobs, filter_cfg, synth_cfg)
     lexicon = Lexicon.from_file(args.lexicon)
     provider = synth_mod.ConfusionProvider(lexicon, max_distance=args.max_distance)
     with _open_in(args.input) as fh, _open_out(args.output) as out:
@@ -255,15 +249,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_lm_train(args) -> int:
-    log.info("lm-train: input=%s order=%d discount=%s output=%s", args.input, args.order, args.discount, args.output)
-
-    def sentences():
-        with _open_in(args.input) as fh:
-            for line in fh:
-                if line.strip():
-                    yield tokenize(line)
-
-    counts = lm_mod.count_ngrams(sentences(), args.order)
+    with _open_in(args.input) as fh:
+        counts = lm_mod.count_ngrams(_sentences(fh), args.order)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateCounts)
         model = lm_mod.train_kneser_ney(counts, discounts=args.discount)
@@ -275,16 +262,11 @@ def cmd_lm_train(args) -> int:
 
 
 def cmd_lm_score(args) -> int:
-    log.info("lm-score: model=%s input=%s", args.model, args.input)
     with _open_in(args.model) as fh:
         model = lm_mod.read_arpa(fh)
-    total_logprob = 0.0
-    total_tokens = 0
+    total_logprob, total_tokens = 0.0, 0
     with _open_in(args.input) as fh, _open_out(args.output) as out:
-        for line in fh:
-            if not line.strip():
-                continue
-            sentence = tokenize(line)
+        for sentence in _sentences(fh):
             lp = lm_mod.logprob(model, sentence)
             out.write(f"{lp:.4f}\t{lp / (len(sentence) + 1):.4f}\n")
             total_logprob += lp
@@ -296,10 +278,6 @@ def cmd_lm_score(args) -> int:
 
 
 def cmd_rerank(args) -> int:
-    log.info(
-        "rerank: model=%s nbest=%s lm_weight=%s length_normalize=%s",
-        args.model, args.nbest, args.lm_weight, args.length_normalize,
-    )
     with _open_in(args.model) as fh:
         model = lm_mod.read_arpa(fh)
     with _open_in(args.nbest) as fh:
@@ -312,8 +290,8 @@ def cmd_rerank(args) -> int:
     return 0
 
 
-def _check_ranges(args) -> None:
-    """Raise UsageError for the first numeric flag outside its range.
+def _check_ranges(parser: argparse.ArgumentParser, args) -> None:
+    """Report the first numeric flag outside its range as a usage error.
 
     A flag the command does not take, or left at a None default, is not
     checked.  NaN fails every range.
@@ -336,16 +314,16 @@ def _check_ranges(args) -> None:
     for name, (rule, ok) in ranges.items():
         value = getattr(args, name, None)
         if value is not None and not ok(value):
-            raise UsageError(f"--{name.replace('_', '-')} must be {rule}, got {value}")
+            parser.error(f"--{name.replace('_', '-')} must be {rule}, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gectools",
         description="Grammatical-error-correction data tools: edit extraction, "
         "classification, scoring, corpus synthesis and LM re-ranking.",
     )
-    parser.add_argument("--verbose", action="store_true", help="log effective configuration")
+    parser.add_argument("--verbose", action="store_true", help="print the parsed options")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="extract (and optionally classify) edits into M2")
@@ -391,10 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="output ARPA file (default stdout)")
     p.add_argument("--order", type=int, default=5, help="model order (default 5)")
     p.add_argument(
-        "--discount",
-        type=float,
-        default=None,
-        help="fixed discount for all orders (default: estimate from data)",
+        "--discount", type=float, help="fixed discount for all orders (default: estimate from data)"
     )
     p.set_defaults(func=cmd_lm_train)
 
@@ -416,24 +391,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        stream=sys.stderr,
-        format="%(levelname)s %(message)s",
-    )
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_ranges(parser, args)
+    if args.verbose:
+        options = (f"{key}={value}" for key, value in sorted(vars(args).items())
+                   if key not in ("command", "func", "verbose"))
+        print(f"{args.command}:", *options, file=sys.stderr)
     try:
-        _check_ranges(args)
         return args.func(args)
-    except (LengthMismatch, SentenceMismatch, UsageError) as exc:
+    except (GecToolsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GecToolsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (LengthMismatch, SentenceMismatch)) else 1
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ class MalformedArpa(MalformedLine):
 
 
 class MalformedLexicon(MalformedLine):
-    """A lexicon line is not a word with an optional integer frequency."""
+    """A lexicon line is not one word with an optional ASCII-digit frequency."""
 
 
 class LengthMismatch(GecToolsError):

@@ -4,10 +4,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
 from gectools.errors import EmptyInput, InvalidEncoding, MalformedLexicon
+from gectools.text import ASCII_DIGITS
+
+# Lexicon lines are read and checked this many at a time.
+_BLOCK = 1024
+
+
+def _check_block(block: list[tuple[str, str, str]], first_line_no: int, path) -> None:
+    """Raise MalformedLexicon for the first line of block, each split at
+    its first tab, whose word holds whitespace or whose frequency is not
+    ASCII digits.
+
+    One check over the block's joined words and one over its joined
+    frequencies pass a block with neither; only a block that fails one
+    is checked line by line.
+    """
+    text = "".join([word for word, _, _ in block])
+    digits = "".join([count for _, _, count in block])
+    if text.split() == [text] and ASCII_DIGITS.fullmatch(digits or "0"):
+        return
+    for line_no, (word, _, count) in enumerate(block, first_line_no):
+        if any(ch.isspace() for ch in word):
+            raise MalformedLexicon(line_no, f"word {word!r} contains whitespace", path)
+        if count and not ASCII_DIGITS.fullmatch(count):
+            raise MalformedLexicon(line_no, f"frequency {count!r} is not ASCII digits", path)
 
 
 @dataclass(frozen=True)
@@ -31,30 +56,33 @@ class Lexicon:
     def from_file(cls, path: str | Path) -> "Lexicon":
         """Load a lexicon from a text file.
 
-        One word per line; an optional tab-separated integer after the
-        word is taken as its frequency.  Raises InvalidEncoding,
+        One word per line; an optional tab-separated run of ASCII digits
+        after the word is taken as its frequency.  Raises InvalidEncoding,
         MalformedLexicon or EmptyInput for a file that is not UTF-8, has
-        a frequency that is not an integer, or holds no word.
+        a word holding whitespace or a frequency that is not ASCII
+        digits, or holds no word.
         """
         words: list[str] = []
         freqs: dict[str, int] = {}
         try:
             with open(path, encoding="utf-8") as fh:
-                for line_no, line in enumerate(fh, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    word, _, count = line.partition("\t")
-                    word = word.lower()
-                    words.append(word)
-                    if count.strip():
-                        try:
-                            freq = int(count)
-                        except ValueError:
-                            raise MalformedLexicon(
-                                line_no, f"frequency {count.strip()!r} is not an integer", path
-                            ) from None
-                        freqs[word] = freqs.get(word, 0) + freq
+                first = 1
+                while block := [line.strip().partition("\t") for line in islice(fh, _BLOCK)]:
+                    _check_block(block, first, path)
+                    for line_no, (word, _, count) in enumerate(block, first):
+                        if not word:
+                            continue
+                        word = word.lower()
+                        words.append(word)
+                        if count:
+                            try:
+                                freq = int(count)
+                            except ValueError:  # more digits than int() converts
+                                raise MalformedLexicon(
+                                    line_no, f"frequency of {len(count)} digits is too long", path
+                                ) from None
+                            freqs[word] = freqs.get(word, 0) + freq
+                    first += len(block)
         except UnicodeDecodeError as exc:
             raise InvalidEncoding(path, exc) from exc
         if not words:

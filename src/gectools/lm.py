@@ -276,15 +276,13 @@ _ARPA_CHUNK = 1024
 
 
 def _parse_block(block: list[str], n: int) -> dict[str, tuple[float, float]] | None:
-    """The entries of a block of order-n entry lines, or None.
+    """The entries of a non-empty block of order-n entry lines, or None.
 
     Each step works on the whole block.  None means some line is not an
     entry, is malformed, or has a field count other lines do not share;
     the caller then parses the block line by line, which reports the
     first bad line or accepts a block mixing 2- and 3-field lines.
     """
-    if not block:
-        return {}
     rows = list(map(str.rstrip, block, repeat("\n")))
     tabs = set(map(str.count, rows, repeat("\t")))
     if tabs != {1} and tabs != {2}:

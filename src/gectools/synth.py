@@ -387,6 +387,16 @@ class SynthStats:
     rejected_by_rule: Counter = field(default_factory=Counter)
     corruption: CorruptionStats = field(default_factory=CorruptionStats)
 
+    def count(self, rule: int | None) -> bool:
+        """Tally one input line that filter rule rejected, or that was
+        accepted when rule is None; True when it was accepted."""
+        self.total_lines += 1
+        if rule is None:
+            self.accepted += 1
+            return True
+        self.rejected_by_rule[rule] += 1
+        return False
+
     def format(self) -> str:
         lines = [f"input lines: {self.total_lines}", f"accepted: {self.accepted}"]
         for rule in sorted(self.rejected_by_rule):
@@ -451,13 +461,9 @@ def generate_corpus(
 
     def consume(result):
         rule, out_line, cstats = result
-        stats.total_lines += 1
-        if rule is not None:
-            stats.rejected_by_rule[rule] += 1
-            return
-        stats.accepted += 1
-        out.write(out_line + "\n")
-        stats.corruption.merge(cstats)
+        if stats.count(rule):
+            out.write(out_line + "\n")
+            stats.corruption.merge(cstats)
 
     if jobs <= 1:
         for index, line in enumerate(lines):

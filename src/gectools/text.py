@@ -101,8 +101,9 @@ def render(sentence: Sentence) -> str:
     return " ".join(t.form for t in sentence.tokens)
 
 
-# A word id: ASCII digits only (str.isdigit would also take "²").
-_WORD_ID = re.compile(r"[0-9]+")
+# A CoNLL-U word id or a lexicon frequency: ASCII digits only
+# (str.isdigit would also take "²").
+ASCII_DIGITS = re.compile(r"[0-9]+")
 
 
 def _field(value: str) -> str | None:
@@ -112,9 +113,10 @@ def _field(value: str) -> str | None:
 def parse_conllu(lines: Iterable[str]) -> list[Sentence]:
     """Parse CoNLL-U input into sentences.
 
-    Only the FORM, LEMMA and UPOS columns are retained.  Multiword range
-    lines (id "3-4") and empty nodes (id "5.1") are skipped.  A
-    "# sent_id = ..." comment becomes the sentence's source_id.
+    Only the FORM, LEMMA and UPOS columns are retained.  Word ids run
+    1, 2, ... within a sentence; multiword range lines (id "3-4") and
+    empty nodes (id "5.1") are skipped.  Any other id is a MalformedLine.
+    A "# sent_id = ..." comment becomes the sentence's source_id.
     """
     sentences: list[Sentence] = []
     tokens: list[Token] = []
@@ -142,10 +144,11 @@ def parse_conllu(lines: Iterable[str]) -> list[Sentence]:
         if len(cols) != 10:
             raise MalformedLine(line_no, f"expected 10 tab-separated columns, got {len(cols)}")
         token_id, form, lemma, upos = cols[0], cols[1], cols[2], cols[3]
-        if "-" in token_id or "." in token_id:
-            continue
-        if not _WORD_ID.fullmatch(token_id):
-            raise MalformedLine(line_no, f"bad token id: {token_id!r}")
+        if token_id != str(len(tokens) + 1):
+            first, sep, last = token_id.partition("-" if "-" in token_id else ".")
+            if sep and ASCII_DIGITS.fullmatch(first) and ASCII_DIGITS.fullmatch(last):
+                continue
+            raise MalformedLine(line_no, f"bad token id: {token_id!r}, expected {len(tokens) + 1}")
         if not form or form == "_":
             raise MalformedLine(line_no, f"bad token form: {form!r}")
         if any(ch.isspace() for ch in form):

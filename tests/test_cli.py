@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gectools.cli import UsageError, _check_ranges, build_parser, main
+from gectools.cli import _check_ranges, build_parser, main
 from gectools.lm import read_arpa
 
 ORIG = "în cazul unei paciente internată joi\nmergem acasă\n"
@@ -51,6 +51,26 @@ class TestExtract:
         assert code == 0
         text = (tmp_path / "out.m2").read_text(encoding="utf-8")
         assert "A 4 5|||MORPH|||internate|||REQUIRED|||-NONE-|||0" in text
+
+    def test_plain_text_with_lexicon_labels_form_rules(self, files, capsys):
+        from tests.conftest import DATA
+
+        write, _ = files
+        orig, corr = write("o.txt", "Mergem acasă\n"), write("c.txt", "mergem acasă\n")
+        assert main(["extract", orig, corr, "--lexicon", str(DATA / "lexicon_ro.txt")]) == 0
+        assert "A 0 1|||ORTH|||mergem|||REQUIRED|||-NONE-|||0" in capsys.readouterr().out
+
+    def test_plain_text_with_lexicon_needing_annotations_exits_1(self, files, capsys):
+        from tests.conftest import DATA
+
+        write, _ = files
+        orig, corr = write("o.txt", ORIG), write("c.txt", CORR)
+        assert main(["extract", orig, corr, "--lexicon", str(DATA / "lexicon_ro.txt")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: sentence 0: edit 'internată' -> 'internate' needs lemma and UPOS on both tokens\n"
+        )
 
     def test_length_mismatch_exits_2(self, files, capsys):
         write, _ = files
@@ -110,6 +130,18 @@ class TestScoreAndStats:
         assert main(["stats", ref]) == 0
         out = capsys.readouterr().out
         assert "total edits: 1" in out
+
+
+class TestVerbose:
+    def test_prints_the_parsed_options_in_one_line(self, files, capsys):
+        write, _ = files
+        inp = write("in.txt", "una doua\n")
+        assert main(["--verbose", "filter", inp, "--min-words", "1"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == (
+            f"filter: input={inp} max_foreign_ratio=0.025 min_diacritic_ratio=0.01 min_words=1 output=None"
+        )
+        assert err[1:] == ["input lines: 1", "accepted: 0", "rejected by rule 1 (first letter not uppercase): 1"]
 
 
 class TestFilter:
@@ -291,6 +323,17 @@ BAD_INPUTS = [
     ("lm-train-latin1", {"in.txt": LATIN1}, ["lm-train", "in.txt"], 1, "not valid UTF-8"),
     ("lexicon-bad-frequency", {"in.txt": CLEAN, "lex.txt": "casa\t3\nmasa\tx\n"},
      ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1"], 1, "line 2: frequency 'x'"),
+    # A lexicon word is one token; a frequency is ASCII digits.
+    ("lexicon-word-with-space", {"in.txt": CLEAN, "lex.txt": "casa\nana are\t5\n"},
+     ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1"], 1,
+     "lex.txt: line 2: word 'ana are' contains whitespace"),
+    *[(f"lexicon-frequency-{freq}", {"in.txt": CLEAN, "lex.txt": f"casa\t3\nmasa\t{freq}\n"},
+       ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1"], 1,
+       f"lex.txt: line 2: frequency '{freq}' is not ASCII digits")
+      for freq in ("1_0", "\u0663", "-3")],
+    ("lexicon-frequency-too-long", {"in.txt": CLEAN, "lex.txt": "casa\t" + "1" * 5000 + "\n"},
+     ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1"], 1,
+     "lex.txt: line 1: frequency of 5000 digits is too long"),
     ("lexicon-empty", {"in.txt": CLEAN, "lex.txt": "\n"},
      ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1"], 1, "no words"),
     ("lm-train-order-0", {"in.txt": CLEAN}, ["lm-train", "in.txt", "--order", "0"], 2, "--order"),
@@ -298,6 +341,9 @@ BAD_INPUTS = [
     ("filter-stdin-latin1", {"-": LATIN1}, ["filter", "-"], 1, "<stdin>: not valid UTF-8"),
     ("extract-bad-conllu", {"o.conllu": "1\tAna\n", "c.conllu": "1\tAna\n"},
      ["extract", "o.conllu", "c.conllu", "--conllu"], 1, "o.conllu: line 1: expected 10"),
+    ("extract-conllu-id-skips-ahead",
+     {"o.conllu": "1\tAna\t_\t_\t_\t_\t_\t_\t_\t_\n3\tare\t_\t_\t_\t_\t_\t_\t_\t_\n", "c.conllu": ""},
+     ["extract", "o.conllu", "c.conllu", "--conllu"], 1, "o.conllu: line 2: bad token id: '3', expected 2"),
     ("lm-score-bad-arpa", {"m.arpa": "not arpa\n", "in.txt": CLEAN},
      ["lm-score", "m.arpa", "in.txt"], 1, "m.arpa: line 1: unexpected line"),
     ("rerank-bad-arpa", {"m.arpa": MODEL.replace("-0.5\t.", "-0.5\t. x"), "nb.txt": "Ana .\t0\n"},
@@ -345,6 +391,15 @@ BAD_INPUTS_NO_OUTPUT = [
      ["score", "ref.m2", "hyp.m2", "--beta", "nan"], 2, "--beta must be finite and greater than 0, got nan"),
     ("score-beta-negative", {"ref.m2": M2_AB, "hyp.m2": M2_AB},
      ["score", "ref.m2", "hyp.m2", "--beta", "-1"], 2, "--beta must be finite and greater than 0, got -1.0"),
+    # argparse's own usage errors, in the same one-line form.
+    ("score-beta-abc", {"ref.m2": M2_AB, "hyp.m2": M2_AB},
+     ["score", "ref.m2", "hyp.m2", "--beta", "abc"], 2, "error: argument --beta: invalid float value: 'abc'"),
+    ("lm-train-order-x", {"in.txt": CLEAN},
+     ["lm-train", "in.txt", "--order", "x"], 2, "error: argument --order: invalid int value: 'x'"),
+    ("score-missing-hyp", {"ref.m2": M2_AB},
+     ["score", "ref.m2"], 2, "error: the following arguments are required: hyp"),
+    ("filter-unknown-flag", {"in.txt": CLEAN},
+     ["filter", "in.txt", "--bogus"], 2, "error: unrecognized arguments: --bogus"),
 ]
 
 
@@ -379,9 +434,9 @@ def run_cli(tmp_path, files_in, argv):
 def assert_one_error_line(returncode, stderr, code, needle):
     assert returncode == code, stderr
     assert "Traceback" not in stderr
-    errors = [line for line in stderr.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1, stderr
-    assert needle in errors[0]
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), stderr
+    assert needle in lines[0]
 
 
 class TestBadInputs:
@@ -405,12 +460,15 @@ class TestBadInputs:
 
 
 class TestFlagRanges:
-    def test_jobs_cap(self):
+    def test_jobs_cap(self, capsys):
         # Checked on the parsed flags alone: no command, so no pool, runs.
         argv = ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1", "--jobs"]
-        _check_ranges(build_parser().parse_args([*argv, "128"]))
-        with pytest.raises(UsageError, match="--jobs must be between 1 and 128, got 129"):
-            _check_ranges(build_parser().parse_args([*argv, "129"]))
+        parser = build_parser()
+        _check_ranges(parser, parser.parse_args([*argv, "128"]))
+        with pytest.raises(SystemExit) as exc:
+            _check_ranges(parser, parser.parse_args([*argv, "129"]))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: --jobs must be between 1 and 128, got 129\n"
 
 
 class TestWarnings:

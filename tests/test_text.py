@@ -118,6 +118,28 @@ class TestParseConllu:
         with pytest.raises(MalformedLine, match="bad token id"):
             parse_conllu(io.StringIO(bad))
 
+    @staticmethod
+    def token_lines(*token_ids):
+        return "".join(f"{i}\tcasa\tcasă\tNOUN\t_\t_\t0\troot\t_\t_\n" for i in token_ids)
+
+    @pytest.mark.parametrize(
+        "token_ids", [["1", "1"], ["1", "3"], ["2"], ["0"], ["1", "02"]],
+        ids=["repeated", "skips-ahead", "starts-at-2", "zero", "leading-zero"],
+    )
+    def test_word_ids_run_1_2_3(self, token_ids):
+        n = len(token_ids)
+        with pytest.raises(MalformedLine, match=f"bad token id: '{token_ids[-1]}', expected {n}") as err:
+            parse_conllu(io.StringIO(self.token_lines(*token_ids)))
+        assert err.value.line_no == n
+
+    @pytest.mark.parametrize(
+        "token_id", ["x-y", "1-y", "1-", "-1", "1-2-3", "\u0663-4", "1.x", ".1", "1.2.3", "1-2.1"]
+    )
+    def test_range_and_empty_node_ids_take_ascii_digits(self, token_id):
+        with pytest.raises(MalformedLine, match="bad token id") as err:
+            parse_conllu(io.StringIO(self.token_lines("1", token_id, "2")))
+        assert err.value.line_no == 2
+
     def test_bad_upos(self):
         bad = "1\tcasa\tcasă\tWRONG\t_\t_\t0\troot\t_\t_\n"
         with pytest.raises(MalformedLine):
