@@ -15,24 +15,40 @@ from gectools.text import ASCII_DIGITS
 _BLOCK = 1024
 
 
-def _check_block(block: list[tuple[str, str, str]], first_line_no: int, path) -> None:
-    """Raise MalformedLexicon for the first line of block, each split at
-    its first tab, whose word holds whitespace or whose frequency is not
-    ASCII digits.
+def _check_line(line_no: int, word: str, count: str, path) -> None:
+    """Raise MalformedLexicon if the line, split at its first tab, has a
+    frequency but no word, a word holding whitespace, or a frequency
+    that is not ASCII digits."""
+    if not word and count:
+        raise MalformedLexicon(line_no, f"frequency {count!r} has no word", path)
+    if any(ch.isspace() for ch in word):
+        raise MalformedLexicon(line_no, f"word {word!r} contains whitespace", path)
+    if count and not ASCII_DIGITS.fullmatch(count):
+        raise MalformedLexicon(line_no, f"frequency {count!r} is not ASCII digits", path)
+
+
+def _check_block(block: list[tuple[str, str, str]], first_line_no: int, path) -> list[tuple[str, str, str]]:
+    """The block of right-stripped lines, each split at its first tab,
+    with leading whitespace stripped from each word.
 
     One check over the block's joined words and one over its joined
-    frequencies pass a block with neither; only a block that fails one
-    is checked line by line.
+    frequencies pass a block with no indented word, no word holding
+    whitespace and no bad frequency; only a block that fails one is
+    checked line by line, raising for its first line that fails
+    _check_line.  A block that passes may still hold a line with a
+    frequency but no word: the caller checks each line whose word is
+    empty.
     """
     text = "".join([word for word, _, _ in block])
     digits = "".join([count for _, _, count in block])
     if text.split() == [text] and ASCII_DIGITS.fullmatch(digits or "0"):
-        return
-    for line_no, (word, _, count) in enumerate(block, first_line_no):
-        if any(ch.isspace() for ch in word):
-            raise MalformedLexicon(line_no, f"word {word!r} contains whitespace", path)
-        if count and not ASCII_DIGITS.fullmatch(count):
-            raise MalformedLexicon(line_no, f"frequency {count!r} is not ASCII digits", path)
+        return block
+    checked = []
+    for line_no, (word, tab, count) in enumerate(block, first_line_no):
+        word = word.lstrip()
+        _check_line(line_no, word, count, path)
+        checked.append((word, tab, count))
+    return checked
 
 
 @dataclass(frozen=True)
@@ -59,18 +75,19 @@ class Lexicon:
         One word per line; an optional tab-separated run of ASCII digits
         after the word is taken as its frequency.  Raises InvalidEncoding,
         MalformedLexicon or EmptyInput for a file that is not UTF-8, has
-        a word holding whitespace or a frequency that is not ASCII
-        digits, or holds no word.
+        a frequency but no word, a word holding whitespace or a frequency
+        that is not ASCII digits, or holds no word.
         """
         words: list[str] = []
         freqs: dict[str, int] = {}
         try:
             with open(path, encoding="utf-8") as fh:
                 first = 1
-                while block := [line.strip().partition("\t") for line in islice(fh, _BLOCK)]:
-                    _check_block(block, first, path)
-                    for line_no, (word, _, count) in enumerate(block, first):
+                while block := [line.rstrip().partition("\t") for line in islice(fh, _BLOCK)]:
+                    for line_no, (word, _, count) in enumerate(_check_block(block, first, path), first):
                         if not word:
+                            # A frequency with no word passes the block check.
+                            _check_line(line_no, word, count, path)
                             continue
                         word = word.lower()
                         words.append(word)

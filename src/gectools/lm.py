@@ -6,7 +6,10 @@ estimated from count-of-counts as n1/(n1 + 2*n2).  Lower-order counts
 are continuation counts (the number of distinct left extensions) except
 for grams starting with <s>, which keep their raw counts.  Models are
 stored the standard ARPA way: per-gram log10 probability plus a log10
-backoff weight on every gram that serves as a context.
+backoff weight on every gram that serves as a context.  In memory the
+two numbers of a gram are one complex value, complex(log10 probability,
+log10 backoff): the same two doubles in one small object the garbage
+collector does not track.
 
 <s> is never predicted.  Grams ending in <s> (the runs of <s> from the
 padding, or grams ending in a literal <s> word of the text) therefore
@@ -17,8 +20,10 @@ that convention, the probabilities of any observed context sum to one
 over the vocabulary minus <s>.
 
 Training estimates one order at a time, so beside the counts and the
-model only that order's adjusted counts are held; reading holds a
-bounded chunk of lines beside the model.
+model only that order's adjusted counts are held.  It walks them in
+sorted order, where the grams of one context form one run, and finishes
+each run before the next, so it keeps no per-context tables.  Reading
+holds a bounded chunk of lines beside the model.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from typing import IO, Iterable, Sequence
 
 from gectools.errors import DegenerateCounts, EmptyInput, MalformedArpa, MalformedLine
@@ -123,14 +128,15 @@ class ArpaModel:
     """A backoff n-gram model in memory.
 
     tables[n-1] maps each n-gram, written as its words joined by single
-    spaces exactly as in an ARPA file ("<s> ea merge"), to (log10
-    probability, log10 backoff weight); the backoff weight is 0.0 for
-    grams that never serve as a context and for grams of the highest
-    order.  Words contain no space.
+    spaces exactly as in an ARPA file ("<s> ea merge"), to complex(log10
+    probability, log10 backoff weight): .real is the probability and
+    .imag the backoff weight, which is 0.0 for grams that never serve as
+    a context and for grams of the highest order.  Words contain no
+    space.
     """
 
     order: int
-    tables: tuple[dict[str, tuple[float, float]], ...]
+    tables: tuple[dict[str, complex], ...]
 
     @property
     def vocab(self) -> frozenset[str]:
@@ -148,13 +154,13 @@ class ArpaModel:
         while True:
             entry = self.tables[n].get(f"{ctx} {word}" if n else word)
             if entry is not None:
-                return acc + entry[0]
+                return acc + entry.real
             if not n:
                 unk = self.tables[0].get(UNK)
-                return acc + (unk[0] if unk is not None else DUMMY_LOGPROB)
+                return acc + (unk.real if unk is not None else DUMMY_LOGPROB)
             ctx_entry = self.tables[n - 1].get(ctx)
             if ctx_entry is not None:
-                acc += ctx_entry[1]
+                acc += ctx_entry.imag
             ctx = ctx.partition(" ")[2]
             n -= 1
 
@@ -186,23 +192,23 @@ def train_kneser_ney(
             if not 0.0 < d < 1.0:
                 raise ValueError(f"discount must lie strictly between 0 and 1, got {d}")
 
-    tables: list[dict[str, tuple[float, float]]] = [dict() for _ in range(order)]
+    tables: list[dict[str, complex]] = [dict() for _ in range(order)]
     # Dummy entries for the all-<s> grams, which the padding of any
     # sentence holds, so they can carry backoff weights; and the <s>
     # unigram itself even in a unigram model.
     for n in range(1, max(order, 2)):
-        tables[n - 1][" ".join([SOS] * n)] = (DUMMY_LOGPROB, 0.0)
+        tables[n - 1][" ".join([SOS] * n)] = complex(DUMMY_LOGPROB, 0.0)
 
     # Unigrams: leftover mass goes to <unk>.
     d1 = _estimate_discount(unigrams, 1) if ds[0] is None else ds[0]
     total = sum(unigrams.values())
     probs: dict[str, float] = {gram: (c - d1) / total for gram, c in unigrams.items()}
     probs[UNK] = probs.get(UNK, 0.0) + d1 * len(unigrams) / total
-    tables[0].update((gram, (math.log10(p), 0.0)) for gram, p in probs.items())
+    tables[0].update((gram, complex(math.log10(p), 0.0)) for gram, p in probs.items())
     del unigrams, probs
 
-    # One order at a time: its adjusted counts and context sums are gone
-    # before the next order's are built.
+    # One order at a time: its adjusted counts are gone before the next
+    # order's are built.
     for n in range(2, order + 1):
         _estimate_order(_adjusted_counts(counts, n), n, ds[n - 1], tables[n - 2], tables[n - 1])
 
@@ -213,32 +219,32 @@ def _estimate_order(
     adjusted: dict[str, int],
     n: int,
     dn: float | None,
-    lower: dict[str, tuple[float, float]],
-    table: dict[str, tuple[float, float]],
+    lower: dict[str, complex],
+    table: dict[str, complex],
 ) -> None:
     """Fill table with order n's entries and put its backoff weights on
-    its contexts in lower, the finished table of order n - 1."""
+    their contexts in lower, the finished table of order n - 1.
+
+    The grams of one context all start with "context ", so in sorted
+    order they form one run: each run is summed, weighted and written
+    before the next is read.
+    """
     if dn is None:
         dn = _estimate_discount(adjusted, n)
-    ctx_total: dict[str, int] = {}
-    ctx_distinct: dict[str, int] = {}
-    for gram, c in adjusted.items():
-        ctx = gram[: gram.rfind(" ")]
-        ctx_total[ctx] = ctx_total.get(ctx, 0) + c
-        ctx_distinct[ctx] = ctx_distinct.get(ctx, 0) + 1
-    gammas = {ctx: dn * ctx_distinct[ctx] / den for ctx, den in ctx_total.items()}
-    for gram, c in adjusted.items():
-        ctx = gram[: gram.rfind(" ")]
-        # Suffix closure: the next-lower-order gram, the gram without
-        # its first word, is always present.
-        p_low = 10.0 ** lower[gram[gram.find(" ") + 1 :]][0]
-        p = max(c - dn, 0.0) / ctx_total[ctx] + gammas[ctx] * p_low
-        table[gram] = (math.log10(p), 0.0)
-    for ctx, gamma in gammas.items():
+    for ctx, run in groupby(sorted(adjusted), key=lambda gram: gram[: gram.rfind(" ")]):
+        run = list(run)
+        total = sum(map(adjusted.__getitem__, run))
+        gamma = dn * len(run) / total
+        for gram in run:
+            # Suffix closure: the next-lower-order gram, the gram without
+            # its first word, is always present.
+            p_low = 10.0 ** lower[gram[gram.find(" ") + 1 :]].real
+            p = max(adjusted[gram] - dn, 0.0) / total + gamma * p_low
+            table[gram] = complex(math.log10(p), 0.0)
         # A context ending in a literal <s> word of the text has no entry
         # of its own: it gets a dummy one to carry its backoff weight.
         entry = lower.get(ctx)
-        lower[ctx] = (DUMMY_LOGPROB if entry is None else entry[0], math.log10(gamma))
+        lower[ctx] = complex(DUMMY_LOGPROB if entry is None else entry.real, math.log10(gamma))
 
 
 # Characters that sort before the space separating a gram's words.
@@ -262,12 +268,28 @@ def write_arpa(model: ArpaModel, out: IO[str]) -> None:
         # character that sorts before the separating space.
         key = (lambda g: g.split(" ")) if any(map(_BELOW_SPACE.search, table)) else None
         for gram in sorted(table, key=key):
-            logp, logbo = table[gram]
+            entry = table[gram]
             if n < model.order:
-                out.write(f"{logp:.10f}\t{gram}\t{logbo:.10f}\n")
+                out.write(f"{entry.real:.10f}\t{gram}\t{entry.imag:.10f}\n")
             else:
-                out.write(f"{logp:.10f}\t{gram}\n")
+                out.write(f"{entry.real:.10f}\t{gram}\n")
     out.write("\n\\end\\\n")
+
+
+# A decimal number in ASCII digits, as ARPA and n-best fields hold it
+# around optional whitespace.
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _decimal(field: str) -> float | None:
+    """field as a float if, stripped, it is a finite decimal in ASCII
+    digits, else None."""
+    # float() itself does not strip "\x1c" to "\x1f", which str.strip does.
+    field = field.strip()
+    if not _DECIMAL.fullmatch(field):
+        return None
+    value = float(field)
+    return value if math.isfinite(value) else None
 
 
 # Lines of a section parsed as one block: this bounds the working lists
@@ -275,47 +297,62 @@ def write_arpa(model: ArpaModel, out: IO[str]) -> None:
 _ARPA_CHUNK = 1024
 
 
-def _parse_block(block: list[str], n: int) -> dict[str, tuple[float, float]] | None:
-    """The entries of a non-empty block of order-n entry lines, or None.
+def _parse_block(block: list[str], n: int, table: dict[str, complex]) -> bool:
+    """Add the entries of a non-empty block of order-n entry lines to
+    table and return True, or return False and leave table as it was.
 
-    Each step works on the whole block.  None means some line is not an
-    entry, is malformed, or has a field count other lines do not share;
-    the caller then parses the block line by line, which reports the
-    first bad line or accepts a block mixing 2- and 3-field lines.
+    Each step works on the whole block.  False means some line is not an
+    entry, may be malformed, or has a field count other lines do not
+    share; the caller then parses the block line by line, which reports
+    the first bad line or accepts a block mixing 2- and 3-field lines.
     """
     rows = list(map(str.rstrip, block, repeat("\n")))
     tabs = set(map(str.count, rows, repeat("\t")))
     if tabs != {1} and tabs != {2}:
-        return None
+        return False
     width = tabs.pop() + 1
     fields = "\t".join(rows).split("\t")
     grams = fields[1::width]
     if set(map(str.count, grams, repeat(" "))) != {n - 1}:
-        return None
+        return False
     # With n - 1 spaces in each gram, an empty word shows as a doubled
     # space or a space at either end of the joined grams.
     joined = " ".join(grams)
     if not joined or joined[0] == " " or joined[-1] == " " or "  " in joined:
-        return None
+        return False
+    # float() also takes "1_0", non-ASCII digits, "nan", "inf" and
+    # "1e999" (as inf).  Number fields that are ASCII and hold no "_" are
+    # decimals, NaN or infinities, or fail float(); a finite sum leaves
+    # none of the latter two.  A doubtful block goes to the line path,
+    # which decides.
+    logp_fields = fields[0::width]
+    logbo_fields = fields[2::width] if width == 3 else []
+    numbers = "".join(logp_fields) + "".join(logbo_fields)
+    if not numbers.isascii() or "_" in numbers:
+        return False
     try:
-        logps = list(map(float, fields[0::width]))
-        logbos = list(map(float, fields[2::width])) if width == 3 else repeat(0.0)
+        logps = list(map(float, logp_fields))
+        logbos = list(map(float, logbo_fields))
     except ValueError:
-        return None
-    return dict(zip(grams, zip(logps, logbos)))
+        return False
+    if not math.isfinite(sum(logps) + sum(logbos)):
+        return False
+    table.update(zip(grams, map(complex, logps, logbos if width == 3 else repeat(0.0))))
+    return True
 
 
 def read_arpa(lines: Iterable[str]) -> ArpaModel:
     """Parse a textual ARPA model.
 
-    The lines after a section header, as many as the header declared,
-    are parsed in blocks of at most _ARPA_CHUNK lines (see _parse_block);
-    from the first block that does not parse whole on, the file is read
-    line by line instead, so errors and their line numbers are those of
-    a plain line-by-line reader.
+    Every number of an entry is a finite decimal in ASCII digits (see
+    _decimal).  The lines after a section header, as many as the header
+    declared, are parsed in blocks of at most _ARPA_CHUNK lines (see
+    _parse_block); from the first block that does not parse whole on,
+    the file is read line by line instead, so errors and their line
+    numbers are those of a plain line-by-line reader.
     """
     declared: list[int] = []
-    tables: list[dict[str, tuple[float, float]]] = []
+    tables: list[dict[str, complex]] = []
     section = 0  # 0: preamble, 1: \data\, 2: n-gram sections
     current = -1
     saw_end = False
@@ -345,11 +382,9 @@ def read_arpa(lines: Iterable[str]) -> ArpaModel:
             section = 2
             left = declared[current - 1]
             while left > 0 and (block := list(islice(rows, min(left, _ARPA_CHUNK)))):
-                entries = _parse_block(block, current)
-                if entries is None:
+                if not _parse_block(block, current, tables[current - 1]):
                     rows = chain(block, rows)
                     break
-                tables[current - 1].update(entries)
                 line_no += len(block)
                 left -= len(block)
             continue
@@ -371,15 +406,14 @@ def read_arpa(lines: Iterable[str]) -> ArpaModel:
             fields = line.split("\t")
             if len(fields) not in (2, 3):
                 raise MalformedArpa(line_no, f"expected 2 or 3 tab-separated fields, got {len(fields)}")
-            try:
-                logp = float(fields[0])
-                logbo = float(fields[2]) if len(fields) == 3 else 0.0
-            except ValueError:
-                raise MalformedArpa(line_no, f"bad numeric field in {line!r}") from None
+            logp = _decimal(fields[0])
+            logbo = _decimal(fields[2]) if len(fields) == 3 else 0.0
+            if logp is None or logbo is None:
+                raise MalformedArpa(line_no, f"bad numeric field in {line!r}")
             words = fields[1].split(" ")
             if len(words) != current or any(not w for w in words):
                 raise MalformedArpa(line_no, f"gram does not match section order: {fields[1]!r}")
-            tables[current - 1][fields[1]] = (logp, logbo)
+            tables[current - 1][fields[1]] = complex(logp, logbo)
             continue
         raise MalformedArpa(line_no, f"unexpected line: {line!r}")
 
@@ -464,10 +498,6 @@ def rerank(hypotheses: Sequence[Hypothesis], model: ArpaModel, cfg: RerankConfig
     return best
 
 
-# A decimal number in ASCII digits, as the n-best score field holds it.
-_SCORE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
-
-
 def read_nbest(lines: Iterable[str]) -> list[list[Hypothesis]]:
     """Parse n-best lists: "tokens<TAB>score" lines, blank-line separated.
 
@@ -487,7 +517,8 @@ def read_nbest(lines: Iterable[str]) -> list[list[Hypothesis]]:
         text, sep, score_str = line.rpartition("\t")
         if not sep:
             raise MalformedLine(line_no, "expected 'sentence<TAB>score'")
-        if not (_SCORE.fullmatch(score_str.strip()) and math.isfinite(score := float(score_str))):
+        score = _decimal(score_str)
+        if score is None:
             raise MalformedLine(line_no, f"bad score: {score_str!r}")
         tokens = tuple(Token(f) for f in text.split())
         current.append(Hypothesis(sentence=Sentence(tokens), model_score=score))

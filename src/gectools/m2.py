@@ -105,7 +105,12 @@ def read_m2(lines: Iterable[str]) -> list[tuple[Sentence, list[Edit]]]:
             span = fields[0].split()
             if len(span) != 2 or not all(_SPAN_NUMBER.fullmatch(x) for x in span):
                 raise MalformedM2(line_no, f"bad span field: {fields[0]!r}")
-            start, end = int(span[0]), int(span[1])
+            try:
+                start, end = int(span[0]), int(span[1])
+            except ValueError:  # more digits than int() converts
+                raise MalformedM2(
+                    line_no, f"bad span field: a number of {max(map(len, span))} characters is too long"
+                ) from None
             annotator_id = fields[5].strip()
             if annotator is None:
                 annotator = (annotator_id, line_no)

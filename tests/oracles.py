@@ -319,6 +319,25 @@ class RefKneserNey:
 # --- ARPA reading (line by line, tuple keys) ------------------------------
 
 
+def ref_decimal(field: str) -> float | None:
+    """The value of field if, stripped, it is a finite decimal in ASCII
+    digits (optional sign, point and exponent), else None; checked
+    character by character instead of by a pattern."""
+    text = field.strip()
+    mantissa, e, exponent = text.replace("E", "e", 1).partition("e")
+    if e and not _ref_digits(exponent[1:] if exponent[:1] in ("+", "-") else exponent):
+        return None
+    mantissa = mantissa[1:] if mantissa[:1] in ("+", "-") else mantissa
+    if mantissa.count(".") > 1 or not _ref_digits(mantissa.replace(".", "")):
+        return None
+    value = float(text)
+    return value if math.isfinite(value) else None
+
+
+def _ref_digits(text: str) -> bool:
+    return bool(text) and all(ch in "0123456789" for ch in text)
+
+
 def ref_read_arpa(lines: Iterable[str]) -> ArpaModel:
     """Parse a textual ARPA model line by line, keyed by word tuples.
 
@@ -327,7 +346,7 @@ def ref_read_arpa(lines: Iterable[str]) -> ArpaModel:
     in the same order, or fail with the same message on the same line.
     """
     declared: list[int] = []
-    tables: list[dict[tuple[str, ...], tuple[float, float]]] = []
+    tables: list[dict[tuple[str, ...], complex]] = []
     section = 0  # 0: preamble, 1: \data\, 2: n-gram sections
     current = -1
     saw_end = False
@@ -373,15 +392,14 @@ def ref_read_arpa(lines: Iterable[str]) -> ArpaModel:
             fields = line.split("\t")
             if len(fields) not in (2, 3):
                 raise MalformedArpa(line_no, f"expected 2 or 3 tab-separated fields, got {len(fields)}")
-            try:
-                logp = float(fields[0])
-                logbo = float(fields[2]) if len(fields) == 3 else 0.0
-            except ValueError:
-                raise MalformedArpa(line_no, f"bad numeric field in {line!r}") from None
+            logp = ref_decimal(fields[0])
+            logbo = ref_decimal(fields[2]) if len(fields) == 3 else 0.0
+            if logp is None or logbo is None:
+                raise MalformedArpa(line_no, f"bad numeric field in {line!r}")
             gram = tuple(fields[1].split(" "))
             if len(gram) != current or any(not w for w in gram):
                 raise MalformedArpa(line_no, f"gram does not match section order: {fields[1]!r}")
-            tables[current - 1][gram] = (logp, logbo)
+            tables[current - 1][gram] = complex(logp, logbo)
             continue
         raise MalformedArpa(line_no, f"unexpected line: {line!r}")
 

@@ -334,6 +334,15 @@ BAD_INPUTS = [
     ("lexicon-frequency-too-long", {"in.txt": CLEAN, "lex.txt": "casa\t" + "1" * 5000 + "\n"},
      ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1"], 1,
      "lex.txt: line 1: frequency of 5000 digits is too long"),
+    # A frequency after a tab, but no word before it.
+    *[(f"lexicon-no-word-{name}", {"in.txt": CLEAN, "lex.txt": f"casa\t3\n{line}\n"},
+       ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1"], 1,
+       f"lex.txt: line 2: frequency '{count}' has no word")
+      for name, line, count in (
+          ("tab", "\t5", "5"), ("space-tab", " \t5", "5"), ("tab-word", "\tmasa", "masa"),
+          # Before a bad word, which sends the block to the line-by-line check.
+          ("tab-then-word-with-space", "\t5\nana are", "5"),
+      )],
     ("lexicon-empty", {"in.txt": CLEAN, "lex.txt": "\n"},
      ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1"], 1, "no words"),
     ("lm-train-order-0", {"in.txt": CLEAN}, ["lm-train", "in.txt", "--order", "0"], 2, "--order"),
@@ -348,6 +357,10 @@ BAD_INPUTS = [
      ["lm-score", "m.arpa", "in.txt"], 1, "m.arpa: line 1: unexpected line"),
     ("rerank-bad-arpa", {"m.arpa": MODEL.replace("-0.5\t.", "-0.5\t. x"), "nb.txt": "Ana .\t0\n"},
      ["rerank", "m.arpa", "nb.txt"], 1, "m.arpa: line 6: gram does not match"),
+    # ARPA numbers must be finite decimal numbers in ASCII digits.
+    *[(f"lm-score-arpa-number-{number}", {"m.arpa": MODEL.replace("-0.5\t.", f"{number}\t."), "in.txt": CLEAN},
+       ["lm-score", "m.arpa", "in.txt"], 1, f"m.arpa: line 6: bad numeric field in '{number}\\t.'")
+      for number in ("nan", "-1_0", "inf", "1e999", "\u0663")],
     ("rerank-bad-nbest", {"m.arpa": MODEL, "nb.txt": "Ana .\t0\n\nAna\n"},
      ["rerank", "m.arpa", "nb.txt"], 1, "nb.txt: line 3: expected 'sentence<TAB>score'"),
     # Scores must be finite decimal numbers in ASCII digits.
@@ -381,6 +394,8 @@ BAD_INPUTS_NO_OUTPUT = [
     ("score-bad-hyp", {"ref.m2": M2_AB, "hyp.m2": M2_NO_S},
      ["score", "ref.m2", "hyp.m2"], 1, "hyp.m2: line 1: annotation line before"),
     ("stats-bad-m2", {"in.m2": M2_NO_S}, ["stats", "in.m2"], 1, "in.m2: line 1: annotation line before"),
+    ("stats-span-too-long", {"in.m2": M2_AB.replace("A 0 1", "A 0 " + "1" * 5000)},
+     ["stats", "in.m2"], 1, "in.m2: line 2: bad span field"),
     ("stats-two-annotators", {"in.m2": M2_TWO_ANNOTATORS},
      ["stats", "in.m2"], 1, "in.m2: line 3: annotator '1' after annotator '0' of line 2"),
     ("stats-two-annotators-noop", {"in.m2": M2_TWO_ANNOTATORS_NOOP},

@@ -161,7 +161,7 @@ class TestTraining:
         # <s> ("are <s>"); they get dummy entries to hold their backoff.
         texts = ["Ana are <s> mere .", "el are <s> <s> pere", "Ana are mere <s>", "<s> el are mere ."]
         model = train(texts, order)
-        assert model.tables[1]["are <s>"][0] == lm.DUMMY_LOGPROB
+        assert model.tables[1]["are <s>"].real == lm.DUMMY_LOGPROB
         contexts = {()}
         for n in range(2, order + 1):
             contexts.update(tuple(gram.split(" "))[:-1] for gram in model.tables[n - 1])
@@ -209,6 +209,49 @@ class TestGoldenArpa:
         assert main(argv) == 0
         name = f"order{order}" + (f"_discount{discount}" if discount else "") + ".arpa"
         assert out.read_bytes() == (DATA / "lm_golden" / name).read_bytes()
+
+    @pytest.mark.parametrize("name", ["order3.arpa", "order5.arpa"])
+    def test_read_write_bytes(self, name):
+        # Both hold a word that sorts below the space ("la\x01x").
+        text = (DATA / "lm_golden" / name).read_bytes().decode("utf-8")
+        buf = io.StringIO()
+        write_arpa(read_arpa(io.StringIO(text)), buf)
+        assert buf.getvalue() == text
+
+
+# Models as write_arpa takes them: any finite numbers, no backoff weight
+# at the highest order, words that sort below the space ("a\x01").
+ROUND_TRIP_WORDS = st.sampled_from(["a", "b", "ă", "a\x01", "<s>", "</s>", "<unk>", "x\r"])
+ROUND_TRIP_NUMBERS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def arpa_models(draw):
+    order = draw(st.integers(1, 4))
+    tables = []
+    for n in range(1, order + 1):
+        grams = draw(st.lists(st.lists(ROUND_TRIP_WORDS, min_size=n, max_size=n).map(" ".join), unique=True))
+        backoffs = ROUND_TRIP_NUMBERS if n < order else st.just(0.0)
+        tables.append({gram: complex(draw(ROUND_TRIP_NUMBERS), draw(backoffs)) for gram in grams})
+    return ArpaModel(order=order, tables=tuple(tables))
+
+
+class TestArpaRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(model=arpa_models())
+    def test_read_gives_rounded_model_and_writes_same_bytes(self, model):
+        buf = io.StringIO()
+        write_arpa(model, buf)
+        back = read_arpa(io.StringIO(buf.getvalue()))
+        rounded = [
+            {gram: complex(float(f"{v.real:.10f}"), float(f"{v.imag:.10f}")) for gram, v in table.items()}
+            for table in model.tables
+        ]
+        assert back.order == model.order
+        assert list(back.tables) == rounded
+        again = io.StringIO()
+        write_arpa(back, again)
+        assert again.getvalue() == buf.getvalue()
 
 
 class TestArpaIO:
@@ -290,10 +333,15 @@ class TestArpaIO:
 # ARPA-like texts: a header and sections as write_arpa lays them out,
 # with duplicate grams, and now and then a miscounted header, a 2- or
 # 3-field line among the other kind, an empty word (a doubled or edge
-# space), a missing or extra word, a bad number, a stray line (blank,
+# space), a missing or extra word, a bad number (not a finite decimal in
+# ASCII digits, though float() may take it), a stray line (blank,
 # whitespace, a header, 1 or 4 fields), CRLF line ends or no \end\.
+# Now and then -1e308: two of them sum to -inf, though each is good.
 ARPA_WORDS = st.sampled_from(["a", "b", "ă", "<s>", "</s>", "<unk>", "x\r"])
-ARPA_NUMBERS = st.sampled_from(["-0.5", "-1.25", "0", "-99.0000000000", " -0.3", "1e-3", "-inf", "1_0"])
+ARPA_NUMBERS = st.sampled_from(
+    ["-0.5", "-1.25", "0", "-99.0000000000", " -0.3", "1e-3", "+.5", "\x1c-2."] * 3 + ["-1e308"]
+)
+BAD_NUMBERS = ["x", "", "nan0", "nan", "NaN", "inf", "-Infinity", "1e999", "1_0", "-1_0", "\u0663", "0x10", "1e"]
 ARPA_DEFECTS = st.sampled_from(
     ["none"] * 100 + ["empty word", "missing word", "extra word", "bad number", "other width"]
 )
@@ -326,7 +374,7 @@ def arpa_texts(draw):
             elif defect == "extra word":
                 words.append("a")
             elif defect == "bad number":
-                numbers[-1] = draw(st.sampled_from(["x", "", "nan0"]))
+                numbers[draw(st.integers(0, len(numbers) - 1))] = draw(st.sampled_from(BAD_NUMBERS))
             elif defect == "other width":
                 numbers = numbers[:1] if width == 3 else numbers + ["-0.25"]
             rows.append("\t".join([numbers[0], " ".join(words), *numbers[1:]]))
@@ -397,7 +445,16 @@ class TestReadArpaMatchesLineReader:
         entries = [i for i, line in enumerate(lines) if "\t" in line]
         assert len(entries) > 20
         for i in entries:
-            for bad in (lines[i].replace("\t", "\tx ", 1), "x" + lines[i], lines[i].rstrip("\n") + "\t-1\n"):
+            # A bad number in place of each number of the line.
+            fields = lines[i].rstrip("\n").split("\t")
+            bad_numbers = [
+                "\t".join(fields[:k] + [number] + fields[k + 1 :]) + "\n"
+                for k in range(0, len(fields), 2)
+                for number in BAD_NUMBERS
+            ]
+            for bad in (
+                lines[i].replace("\t", "\tx ", 1), "x" + lines[i], lines[i].rstrip("\n") + "\t-1\n", *bad_numbers
+            ):
                 text = "".join(lines[:i] + [bad] + lines[i + 1 :])
                 got = _arpa_outcome(read_arpa, io.StringIO(text))
                 assert got == _arpa_outcome(ref_read_arpa, io.StringIO(text)), (i, bad)
@@ -422,6 +479,25 @@ class TestReadArpaMemory:
         finally:
             tracemalloc.stop()
         assert sum(map(len, loaded.tables)) >= 20_000
+        assert peak <= 1.25 * size, (peak, size)
+
+
+class TestTrainingMemory:
+    def test_peak_is_bounded_by_the_model(self):
+        # Each order's grams are estimated one context run at a time:
+        # beyond the model, training holds one order's adjusted counts
+        # (built from the next order's continuation counts) and their
+        # sorted list, but no per-context tables.  tracemalloc counts the
+        # same allocations on every run, so this is a count, not a timing.
+        texts = make_clean_lines(1500, make_words(2000), seed=8)
+        counts = count_ngrams([sent(t) for t in texts], 5)
+        tracemalloc.start()
+        try:
+            model = train_kneser_ney(counts)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, model.tables)) >= 80_000
         assert peak <= 1.25 * size, (peak, size)
 
 
@@ -573,9 +649,9 @@ class TestReadNbest:
         with pytest.raises(MalformedLine):
             read_nbest(io.StringIO("a b\tnot-a-number\n"))
 
-    @pytest.mark.parametrize("score", ["-1", "+2.5", "3.", ".5", "-1.5e-3", "1E2", " -0.25 "])
+    @pytest.mark.parametrize("score", ["-1", "+2.5", "3.", ".5", "-1.5e-3", "1E2", " -0.25 ", "\x1c-1"])
     def test_decimal_scores_read(self, score):
-        assert read_nbest(io.StringIO(f"a\t{score}\n"))[0][0].model_score == float(score)
+        assert read_nbest(io.StringIO(f"a\t{score}\n"))[0][0].model_score == float(score.strip())
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-Infinity", "1e999", "1_0", "\u0663", ".", "1e", "0x10", ""])
     def test_non_decimal_or_infinite_score_rejected(self, score):
