@@ -1,87 +1,62 @@
 """Tools for building and evaluating grammatical-error-correction data:
 token alignment and edit extraction, rule-based error classification,
 M2 scoring, corpus filtering and synthetic error generation, and
-Kneser-Ney n-gram language models for n-best re-ranking."""
+Kneser-Ney n-gram language models for n-best re-ranking.
 
-from gectools.align import (
-    AlignOp,
-    CostParams,
-    Edit,
-    align,
-    apply_edits,
-    extract_edits,
-    merge_ops,
-    sub_cost,
-)
-from gectools.classify import POS_TAGS, char_overlap_ratio, classify_all, classify_edit
-from gectools.errors import (
-    DegenerateCounts,
-    EmptyInput,
-    EmptySentence,
-    GecToolsError,
-    LengthMismatch,
-    MalformedArpa,
-    MalformedLine,
-    MalformedM2,
-    MissingAnnotations,
-    OverlappingEdits,
-    SeveralAnnotators,
-    SpanOutOfBounds,
-)
-from gectools.lexicon import Lexicon
-from gectools.lm import (
-    ArpaModel,
-    Hypothesis,
-    NgramCounts,
-    RerankConfig,
-    count_ngrams,
-    logprob,
-    normalized_logprob,
-    perplexity,
-    read_arpa,
-    read_nbest,
-    rerank,
-    train_kneser_ney,
-    write_arpa,
-)
-from gectools.m2 import read_m2, write_m2
-from gectools.score import (
-    CorpusStats,
-    ScoreReport,
-    compare,
-    corpus_stats,
-    f_beta,
-    format_stats,
-    group_of,
-    score_corpus,
-)
-from gectools.synth import (
-    ConfusionProvider,
-    CorruptionStats,
-    FilterConfig,
-    SynthConfig,
-    SynthStats,
-    corrupt_sentence,
-    diacritic_ratio,
-    filter_sentence,
-    generate_corpus,
-)
-from gectools.text import Sentence, Token, is_punct, parse_conllu, render, tokenize
+The public names below resolve lazily (PEP 562): importing the package
+imports none of its modules, and the first use of a name imports the
+module that defines it.
+"""
+
+import sys
+import types
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignOp", "ArpaModel", "ConfusionProvider", "CorpusStats", "CorruptionStats",
-    "CostParams", "DegenerateCounts", "Edit", "EmptyInput", "EmptySentence",
-    "FilterConfig", "GecToolsError", "Hypothesis", "LengthMismatch", "Lexicon",
-    "MalformedArpa", "MalformedLine", "MalformedM2", "MissingAnnotations",
-    "NgramCounts", "OverlappingEdits", "POS_TAGS", "RerankConfig", "ScoreReport",
-    "Sentence", "SeveralAnnotators", "SpanOutOfBounds", "SynthConfig", "SynthStats", "Token",
-    "align", "apply_edits", "char_overlap_ratio", "classify_all", "classify_edit",
-    "compare", "corpus_stats", "corrupt_sentence", "count_ngrams", "diacritic_ratio",
-    "extract_edits", "f_beta", "filter_sentence", "format_stats", "generate_corpus",
-    "group_of", "is_punct", "logprob", "merge_ops", "normalized_logprob",
-    "parse_conllu", "perplexity", "read_arpa", "read_m2", "read_nbest", "render",
-    "rerank", "score_corpus", "sub_cost", "tokenize", "train_kneser_ney",
-    "write_arpa", "write_m2",
-]
+# Module -> the public names it defines.
+_MODULES = {
+    "align": ("AlignOp", "CostParams", "Edit", "align", "apply_edits", "extract_edits",
+              "merge_ops", "sub_cost"),
+    "classify": ("POS_TAGS", "char_overlap_ratio", "classify_all", "classify_edit"),
+    "errors": ("DegenerateCounts", "EmptyInput", "EmptySentence", "GecToolsError",
+               "LengthMismatch", "MalformedArpa", "MalformedLine", "MalformedM2",
+               "MissingAnnotations", "OverlappingEdits", "SeveralAnnotators", "SpanOutOfBounds"),
+    "lexicon": ("Lexicon",),
+    "lm": ("ArpaModel", "Hypothesis", "NgramCounts", "RerankConfig", "count_ngrams", "logprob",
+           "normalized_logprob", "perplexity", "read_arpa", "read_nbest", "rerank",
+           "train_kneser_ney", "write_arpa"),
+    "m2": ("read_m2", "write_m2"),
+    "score": ("CorpusStats", "ScoreReport", "compare", "corpus_stats", "f_beta", "format_stats",
+              "group_of", "score_corpus"),
+    "synth": ("ConfusionProvider", "CorruptionStats", "FilterConfig", "SynthConfig", "SynthStats",
+              "corrupt_sentence", "diacritic_ratio", "filter_sentence", "generate_corpus"),
+    "text": ("Sentence", "Token", "is_punct", "parse_conllu", "render", "tokenize"),
+}
+_MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+class _Package(types.ModuleType):
+    # Importing a submodule binds it as an attribute of the package; a
+    # public name of the same name (the function align) keeps its binding.
+    def __setattr__(self, name, value):
+        if not (name in _MODULE_OF and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

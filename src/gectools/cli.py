@@ -27,8 +27,9 @@ import sys
 import warnings
 from typing import IO, Iterator
 
-from gectools import lm as lm_mod
-from gectools import synth as synth_mod
+# gectools.lm and gectools.synth are imported by the commands that use
+# them.  The names extract, score and stats call are imported here:
+# perfbench/tracing.py wraps them as attributes of this module.
 from gectools.align import extract_edits
 from gectools.classify import classify_all
 from gectools.errors import (
@@ -43,6 +44,11 @@ from gectools.lexicon import Lexicon
 from gectools.m2 import read_m2, write_m2
 from gectools.score import corpus_stats, format_stats, score_corpus
 from gectools.text import parse_conllu, render, tokenize
+
+
+# The highest lm-train order: KenLM's default build limit, so a default
+# KenLM build loads every model lm-train writes.
+MAX_ORDER = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,8 +201,10 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _filter_config(args) -> synth_mod.FilterConfig:
-    return synth_mod.FilterConfig(
+def _filter_config(args):
+    from gectools.synth import FilterConfig
+
+    return FilterConfig(
         min_words=args.min_words,
         min_diacritic_ratio=args.min_diacritic_ratio,
         max_foreign_ratio=args.max_foreign_ratio,
@@ -220,6 +228,8 @@ def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_filter(args) -> int:
+    from gectools import synth as synth_mod
+
     cfg = _filter_config(args)
     stats = synth_mod.SynthStats()
     with _open_in(args.input) as fh, _open_out(args.output) as out:
@@ -232,6 +242,8 @@ def cmd_filter(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from gectools import synth as synth_mod
+
     filter_cfg = _filter_config(args)
     synth_cfg = synth_mod.SynthConfig(
         mean_error_rate=args.mean_error_rate,
@@ -249,6 +261,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_lm_train(args) -> int:
+    from gectools import lm as lm_mod
+
     with _open_in(args.input) as fh:
         counts = lm_mod.count_ngrams(_sentences(fh), args.order)
     with warnings.catch_warnings(record=True) as caught:
@@ -262,6 +276,8 @@ def cmd_lm_train(args) -> int:
 
 
 def cmd_lm_score(args) -> int:
+    from gectools import lm as lm_mod
+
     with _open_in(args.model) as fh:
         model = lm_mod.read_arpa(fh)
     total_logprob, total_tokens = 0.0, 0
@@ -278,6 +294,8 @@ def cmd_lm_score(args) -> int:
 
 
 def cmd_rerank(args) -> int:
+    from gectools import lm as lm_mod
+
     with _open_in(args.model) as fh:
         model = lm_mod.read_arpa(fh)
     with _open_in(args.nbest) as fh:
@@ -300,7 +318,7 @@ def _check_ranges(parser: argparse.ArgumentParser, args) -> None:
         "beta": ("finite and greater than 0", lambda v: 0 < v < math.inf),
         "lm_weight": ("finite", math.isfinite),
         "discount": ("strictly between 0 and 1", lambda v: 0 < v < 1),
-        "order": ("at least 1", lambda v: v >= 1),
+        "order": (f"between 1 and {MAX_ORDER}", lambda v: 1 <= v <= MAX_ORDER),
         "jobs": ("between 1 and 128", lambda v: 1 <= v <= 128),
         "max_distance": ("at least 0", lambda v: v >= 0),
         "confusion_size": ("at least 0", lambda v: v >= 0),
@@ -367,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lm-train", help="train a Kneser-Ney n-gram model, write ARPA")
     p.add_argument("input", help="training text, one sentence per line ('-' for stdin)")
     p.add_argument("-o", "--output", help="output ARPA file (default stdout)")
-    p.add_argument("--order", type=int, default=5, help="model order (default 5)")
+    p.add_argument("--order", type=int, default=5, help=f"model order, 1 to {MAX_ORDER} (default 5)")
     p.add_argument(
         "--discount", type=float, help="fixed discount for all orders (default: estimate from data)"
     )

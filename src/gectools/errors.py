@@ -69,6 +69,10 @@ class MissingAnnotations(GecToolsError):
         self.sentence_index = sentence_index
 
 
+class NoFiniteScore(GecToolsError):
+    """No hypothesis of an n-best list has a finite combined score."""
+
+
 class EmptySentence(GecToolsError):
     """A sentence with zero tokens was passed where at least one token
     is required."""

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from itertools import chain, groupby, islice, repeat
 from typing import IO, Iterable, Sequence
 
-from gectools.errors import DegenerateCounts, EmptyInput, MalformedArpa, MalformedLine
-from gectools.text import Sentence, Token
+from gectools.errors import DegenerateCounts, EmptyInput, MalformedArpa, MalformedLine, NoFiniteScore
+from gectools.text import ASCII_DIGITS, Sentence, Token
 
 SOS = "<s>"
 EOS = "</s>"
@@ -292,6 +292,14 @@ def _decimal(field: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _integer(field: str) -> int:
+    """field as an int if it is ASCII digits, else ValueError.  int()
+    alone also takes "0_2", " 2", "+2" and non-ASCII digits."""
+    if not ASCII_DIGITS.fullmatch(field):
+        raise ValueError(f"not ASCII digits: {field!r}")
+    return int(field)
+
+
 # Lines of a section parsed as one block: this bounds the working lists
 # read_arpa holds beside the model.
 _ARPA_CHUNK = 1024
@@ -345,7 +353,7 @@ def read_arpa(lines: Iterable[str]) -> ArpaModel:
     """Parse a textual ARPA model.
 
     Every number of an entry is a finite decimal in ASCII digits (see
-    _decimal).  The lines after a section header, as many as the header
+    _decimal); section numbers and counts are ASCII digits alone.  The lines after a section header, as many as the header
     declared, are parsed in blocks of at most _ARPA_CHUNK lines (see
     _parse_block); from the first block that does not parse whole on,
     the file is read line by line instead, so errors and their line
@@ -372,7 +380,7 @@ def read_arpa(lines: Iterable[str]) -> ArpaModel:
             break
         if line.startswith("\\") and line.endswith("-grams:"):
             try:
-                current = int(line[1:-7])
+                current = _integer(line[1:-7])
             except ValueError:
                 raise MalformedArpa(line_no, f"bad section header: {line!r}") from None
             if not declared:
@@ -394,7 +402,7 @@ def read_arpa(lines: Iterable[str]) -> ArpaModel:
             body = line[len("ngram "):]
             n_str, _, count_str = body.partition("=")
             try:
-                n, count = int(n_str), int(count_str)
+                n, count = _integer(n_str), _integer(count_str)
             except ValueError:
                 raise MalformedArpa(line_no, f"bad count line: {line!r}") from None
             if n != len(declared) + 1:
@@ -482,7 +490,9 @@ def rerank(hypotheses: Sequence[Hypothesis], model: ArpaModel, cfg: RerankConfig
     """Pick the best hypothesis by decoder score plus weighted LM score.
 
     The LM contributes its normalized log probability.  Ties keep the
-    earliest hypothesis.
+    earliest hypothesis.  A combined score that is not finite (NaN, or a
+    sum that overflows) never wins; NoFiniteScore is raised when no
+    hypothesis has a finite one.
     """
     if not hypotheses:
         raise EmptyInput("cannot rerank an empty hypothesis list")
@@ -493,8 +503,13 @@ def rerank(hypotheses: Sequence[Hypothesis], model: ArpaModel, cfg: RerankConfig
         if cfg.length_normalize:
             base = base / max(len(hyp.sentence), 1)
         combined = base + cfg.lm_weight * normalized_logprob(model, hyp.sentence)
-        if combined > best_score:
+        if math.isfinite(combined) and (best is None or combined > best_score):
             best, best_score = hyp, combined
+    if best is None:
+        raise NoFiniteScore(
+            f"none of {len(hypotheses)} hypotheses has a finite combined score "
+            f"(decoder score + {cfg.lm_weight:g} x LM score)"
+        )
     return best
 
 

@@ -15,9 +15,9 @@ how the work is split across processes.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 from typing import IO, Iterable
 
 from gectools.errors import EmptySentence
@@ -153,7 +153,8 @@ class ConfusionProvider:
        least k words lie at distance 1, no farther word can enter the
        result, so those are returned.
     2. Otherwise the words whose length is within max_distance of the
-       query's are scanned with scan_distances, after a letter-count
+       query's (the lexicon's word lengths in that range, so the work
+       does not grow with max_distance itself) are scanned with scan_distances, after a letter-count
        filter.  One edit takes at most one letter out of the query's
        letter multiset and adds at most one, so a word w within
        max_distance of the query q shares at least
@@ -169,6 +170,7 @@ class ConfusionProvider:
         self._buckets: dict[int, list[str]] = {}
         for word in lexicon.sorted_words:
             self._buckets.setdefault(len(word), []).append(word)
+        self._lengths = sorted(self._buckets)
         # Built lazily: the lexicon's alphabet, the bit of each
         # (letter, occurrence index) pair, and each bucket's masks.
         self._alphabet: str | None = None
@@ -201,10 +203,11 @@ class ConfusionProvider:
         if max_dist > 1 and not 0 <= k <= len(scored):
             query = self._mask(word)
             candidates: list[str] = []
-            for length in range(max(1, len(word) - max_dist), len(word) + max_dist + 1):
-                bucket = self._buckets.get(length)
-                if not bucket:
-                    continue
+            lengths = self._lengths
+            lo = bisect_left(lengths, max(1, len(word) - max_dist))
+            hi = bisect_right(lengths, len(word) + max_dist)
+            for length in lengths[lo:hi]:
+                bucket = self._buckets[length]
                 need = max(len(word), length) - max_dist
                 candidates.extend(
                     cand
@@ -469,6 +472,8 @@ def generate_corpus(
         for index, line in enumerate(lines):
             consume(_corrupt_one(index, line.rstrip("\n"), filter_cfg, synth_cfg, provider))
         return stats
+
+    from multiprocessing import Pool
 
     with Pool(jobs, initializer=_init_worker, initargs=(filter_cfg, synth_cfg, provider)) as pool:
         for result in pool.imap(_worker, enumerate(lines), chunksize=64):

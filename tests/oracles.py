@@ -338,6 +338,13 @@ def _ref_digits(text: str) -> bool:
     return bool(text) and all(ch in "0123456789" for ch in text)
 
 
+def ref_arpa_int(text: str) -> int:
+    """An ARPA section number or count: ASCII digits only."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def ref_read_arpa(lines: Iterable[str]) -> ArpaModel:
     """Parse a textual ARPA model line by line, keyed by word tuples.
 
@@ -365,7 +372,7 @@ def ref_read_arpa(lines: Iterable[str]) -> ArpaModel:
             break
         if line.startswith("\\") and line.endswith("-grams:"):
             try:
-                current = int(line[1:-7])
+                current = ref_arpa_int(line[1:-7])
             except ValueError:
                 raise MalformedArpa(line_no, f"bad section header: {line!r}") from None
             if not declared:
@@ -380,7 +387,7 @@ def ref_read_arpa(lines: Iterable[str]) -> ArpaModel:
             body = line[len("ngram "):]
             n_str, _, count_str = body.partition("=")
             try:
-                n, count = int(n_str), int(count_str)
+                n, count = ref_arpa_int(n_str), ref_arpa_int(count_str)
             except ValueError:
                 raise MalformedArpa(line_no, f"bad count line: {line!r}") from None
             if n != len(declared) + 1:

@@ -346,6 +346,10 @@ BAD_INPUTS = [
     ("lexicon-empty", {"in.txt": CLEAN, "lex.txt": "\n"},
      ["synth", "in.txt", "--lexicon", "lex.txt", "--seed", "1"], 1, "no words"),
     ("lm-train-order-0", {"in.txt": CLEAN}, ["lm-train", "in.txt", "--order", "0"], 2, "--order"),
+    # Rejected before counting starts.
+    *[(f"lm-train-order-{order}", {"in.txt": CLEAN}, ["lm-train", "in.txt", "--order", order], 2,
+       f"error: --order must be between 1 and 6, got {order}")
+      for order in ("7", "1000000")],
     ("lm-train-stdin-latin1", {"-": LATIN1}, ["lm-train", "-"], 1, "<stdin>: not valid UTF-8"),
     ("filter-stdin-latin1", {"-": LATIN1}, ["filter", "-"], 1, "<stdin>: not valid UTF-8"),
     ("extract-bad-conllu", {"o.conllu": "1\tAna\n", "c.conllu": "1\tAna\n"},
@@ -361,12 +365,24 @@ BAD_INPUTS = [
     *[(f"lm-score-arpa-number-{number}", {"m.arpa": MODEL.replace("-0.5\t.", f"{number}\t."), "in.txt": CLEAN},
        ["lm-score", "m.arpa", "in.txt"], 1, f"m.arpa: line 6: bad numeric field in '{number}\\t.'")
       for number in ("nan", "-1_0", "inf", "1e999", "\u0663")],
+    # So must its section numbers and counts, which int() alone reads.
+    *[(f"lm-score-arpa-{name}", {"m.arpa": MODEL.replace(old, new), "in.txt": CLEAN},
+       ["lm-score", "m.arpa", "in.txt"], 1, f"m.arpa: line {line_no}: {message}: {new!r}")
+      for name, old, new, line_no, message in (
+          ("count-arabic-indic", "ngram 1=3", "ngram 1=\u0663", 2, "bad count line"),
+          ("count-underscore", "ngram 1=3", "ngram 1=0_3", 2, "bad count line"),
+          ("header-arabic-indic", "\\1-grams:", "\\\u0661-grams:", 4, "bad section header"),
+      )],
     ("rerank-bad-nbest", {"m.arpa": MODEL, "nb.txt": "Ana .\t0\n\nAna\n"},
      ["rerank", "m.arpa", "nb.txt"], 1, "nb.txt: line 3: expected 'sentence<TAB>score'"),
     # Scores must be finite decimal numbers in ASCII digits.
     *[(f"rerank-nbest-score-{score}", {"m.arpa": MODEL, "nb.txt": f"Ana .\t0\n\nAna .\t{score}\n"},
        ["rerank", "m.arpa", "nb.txt"], 1, f"nb.txt: line 3: bad score: '{score}'")
       for score in ("nan", "inf", "1e999", "1_0")],
+    # Every combined score overflows: -5 per <unk> token times 1e308.
+    ("rerank-lm-weight-overflow", {"m.arpa": MODEL.replace("-0.9\t<unk>", "-5\t<unk>"), "nb.txt": "x y\t0\nz\t0\n"},
+     ["rerank", "m.arpa", "nb.txt", "--lm-weight", "1e308"], 1,
+     "error: none of 2 hypotheses has a finite combined score"),
     ("rerank-lm-weight-nan", {"m.arpa": MODEL, "nb.txt": "Ana .\t0\n"},
      ["rerank", "m.arpa", "nb.txt", "--lm-weight", "nan"], 2, "--lm-weight must be finite, got nan"),
     ("synth-char-word-rate-nan", {"in.txt": CLEAN, "lex.txt": "casa\n"},

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 from gectools import lm
 from gectools.cli import main
-from gectools.errors import DegenerateCounts, EmptyInput, GecToolsError, MalformedArpa, MalformedLine
+from gectools.errors import (
+    DegenerateCounts,
+    EmptyInput,
+    GecToolsError,
+    MalformedArpa,
+    MalformedLine,
+    NoFiniteScore,
+)
 from gectools.lm import (
     EOS,
     SOS,
@@ -334,13 +341,15 @@ class TestArpaIO:
 # with duplicate grams, and now and then a miscounted header, a 2- or
 # 3-field line among the other kind, an empty word (a doubled or edge
 # space), a missing or extra word, a bad number (not a finite decimal in
-# ASCII digits, though float() may take it), a stray line (blank,
+# ASCII digits, though float() may take it), a section number or count
+# int() takes that is not ASCII digits, a stray line (blank,
 # whitespace, a header, 1 or 4 fields), CRLF line ends or no \end\.
 # Now and then -1e308: two of them sum to -inf, though each is good.
 ARPA_WORDS = st.sampled_from(["a", "b", "ă", "<s>", "</s>", "<unk>", "x\r"])
 ARPA_NUMBERS = st.sampled_from(
     ["-0.5", "-1.25", "0", "-99.0000000000", " -0.3", "1e-3", "+.5", "\x1c-2."] * 3 + ["-1e308"]
 )
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
 BAD_NUMBERS = ["x", "", "nan0", "nan", "NaN", "inf", "-Infinity", "1e999", "1_0", "-1_0", "\u0663", "0x10", "1e"]
 ARPA_DEFECTS = st.sampled_from(
     ["none"] * 100 + ["empty word", "missing word", "extra word", "bad number", "other width"]
@@ -358,6 +367,12 @@ def rare(value, other=None, odds=10):
 
 @st.composite
 def arpa_texts(draw):
+    def integer(value):
+        # Now and then a form int() reads as value.
+        text = str(value)
+        bad = [text.translate(ARABIC_INDIC_DIGITS), "0_" + text, f" {text}", f"{text} ", f"+{text}"]
+        return draw(rare(text, draw(st.sampled_from(bad)), odds=30))
+
     order = draw(st.integers(1, 3))
     sections = []
     for n in range(1, order + 1):
@@ -380,9 +395,9 @@ def arpa_texts(draw):
             rows.append("\t".join([numbers[0], " ".join(words), *numbers[1:]]))
         count = len({row.split("\t")[1] for row in rows}) + draw(rare(0, draw(st.sampled_from([-1, 1]))))
         sections.append((count, rows))
-    lines = ["\\data\\"] + [f"ngram {n}={count}" for n, (count, _) in enumerate(sections, 1)]
+    lines = ["\\data\\"] + [f"ngram {integer(n)}={integer(count)}" for n, (count, _) in enumerate(sections, 1)]
     for n, (_, rows) in enumerate(sections, 1):
-        lines += ["", f"\\{n}-grams:"] + rows
+        lines += ["", f"\\{integer(n)}-grams:"] + rows
     lines += ["", "\\end\\"]
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         lines.insert(draw(st.integers(0, len(lines))), draw(ARPA_STRAY))
@@ -630,6 +645,17 @@ class TestRerank:
     def test_empty_rejected(self, rerank_model):
         with pytest.raises(EmptyInput):
             rerank([], rerank_model)
+
+    @pytest.mark.parametrize("scores", [[math.nan, math.nan], [math.inf, -math.inf], [-math.inf]])
+    def test_no_finite_score_raises(self, rerank_model, scores):
+        hyps = [Hypothesis(sent("ea merge"), score) for score in scores]
+        with pytest.raises(NoFiniteScore, match=f"none of {len(scores)} hypotheses"):
+            rerank(hyps, rerank_model)
+
+    def test_non_finite_score_never_wins(self, rerank_model):
+        hyps = [Hypothesis(sent("ea merge"), math.nan), Hypothesis(sent("ea merge"), math.inf),
+                Hypothesis(sent("școală la"), -50.0)]
+        assert rerank(hyps, rerank_model) is hyps[2]
 
 
 class TestReadNbest:

@@ -2,6 +2,7 @@
 
 import io
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,21 @@ class TestConfusionSetAgainstScan:
         assert not mismatches, mismatches[:5]
         # both steps of the search were exercised
         assert shortcut and scanned
+
+    def test_huge_max_distance(self, fixture_lexicon):
+        # No distance exceeds the longer string's length, so past the
+        # longest query and lexicon word a larger max_distance finds no
+        # more; and a lookup visits the lexicon's word lengths, not every
+        # length within max_distance (7.4 s for one lookup at 10**8).
+        words = fixture_lexicon.sorted_words
+        queries = noisy_queries(words, 30, seed=5)
+        huge = ConfusionProvider(fixture_lexicon, max_distance=10**8)
+        start = time.perf_counter()
+        huge.confusion_set(queries[-1], 100)
+        assert time.perf_counter() - start < 1.0
+        bounded = ConfusionProvider(fixture_lexicon, max_distance=max(map(len, [*words, *queries])))
+        for query in queries:
+            assert huge.confusion_set(query, 100) == bounded.confusion_set(query, 100), query
 
 
 class OracleProvider(ConfusionProvider):
