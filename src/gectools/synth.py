@@ -153,14 +153,15 @@ class ConfusionProvider:
        least k words lie at distance 1, no farther word can enter the
        result, so those are returned.
     2. Otherwise the words whose length is within max_distance of the
-       query's (the lexicon's word lengths in that range, so the work
-       does not grow with max_distance itself) are scanned with scan_distances, after a letter-count
-       filter.  One edit takes at most one letter out of the query's
-       letter multiset and adds at most one, so a word w within
-       max_distance of the query q shares at least
-       max(len(q), len(w)) - max_distance letters with it.  Multisets
-       are bit masks with one bit per (letter, occurrence index) pair,
-       built per length bucket the first time a query needs the bucket.
+       query's (only the lexicon's word lengths in that range are
+       visited, so the work does not grow with max_distance itself) are
+       scanned with scan_distances, after a letter-count filter.  One
+       edit takes at most one letter out of the query's letter multiset
+       and adds at most one, so a word w within max_distance of the
+       query q shares at least max(len(q), len(w)) - max_distance
+       letters with it.  Multisets are bit masks with one bit per
+       (letter, occurrence index) pair, built per length bucket the
+       first time a query needs the bucket.
     """
 
     def __init__(self, lexicon: Lexicon, max_distance: int = 2):

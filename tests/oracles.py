@@ -340,7 +340,7 @@ def _ref_digits(text: str) -> bool:
 
 def ref_arpa_int(text: str) -> int:
     """An ARPA section number or count: ASCII digits only."""
-    if not (text.isascii() and text.isdigit()):
+    if not _ref_digits(text):
         raise ValueError(text)
     return int(text)
 

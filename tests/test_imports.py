@@ -65,6 +65,7 @@ def test_public_names_are_their_modules_objects(first):
         for name in gectools.__all__:
             module = importlib.import_module("gectools." + gectools._MODULE_OF[name])
             assert getattr(gectools, name) is getattr(module, name), name
+        assert set(gectools.__all__) <= set(dir(gectools))
         assert callable(gectools.align)
         from gectools import align
         assert align is gectools.align

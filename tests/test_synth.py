@@ -171,8 +171,8 @@ class TestConfusionSetAgainstScan:
     def test_huge_max_distance(self, fixture_lexicon):
         # No distance exceeds the longer string's length, so past the
         # longest query and lexicon word a larger max_distance finds no
-        # more; and a lookup visits the lexicon's word lengths, not every
-        # length within max_distance (7.4 s for one lookup at 10**8).
+        # more.  A lookup visits the lexicon's word lengths: a loop over
+        # every length within 10**8 takes about 7 s.
         words = fixture_lexicon.sorted_words
         queries = noisy_queries(words, 30, seed=5)
         huge = ConfusionProvider(fixture_lexicon, max_distance=10**8)
