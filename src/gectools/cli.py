@@ -5,6 +5,10 @@ Subcommands cover the full pipeline: edit extraction (extract), scoring
 error generation (synth), language-model training and scoring (lm-train,
 lm-score) and n-best re-ranking (rerank).
 
+Every input file, standard input and the lexicon are read as UTF-8.  A
+leading UTF-8 byte order mark is not data: it is skipped, so a file
+saved with one reads as the same file without it.
+
 Exit codes: 0 on success, 1 on data errors (malformed, inconsistent or
 non-UTF-8 input files), 2 on usage errors: a malformed or out-of-range
 option value, a missing argument, or paired inputs that do not pair up
@@ -60,7 +64,8 @@ class _Parser(argparse.ArgumentParser):
 
 @contextlib.contextmanager
 def _open_in(path: str) -> Iterator[IO[str]]:
-    """Input file ('-' for stdin), read as strict UTF-8.
+    """Input file ('-' for stdin), read as strict UTF-8; a leading
+    byte order mark is skipped.
 
     A decode error, or a MalformedLine without a path, raised while the
     file is read is raised again naming the file.
@@ -68,14 +73,14 @@ def _open_in(path: str) -> Iterator[IO[str]]:
     name = "<stdin>" if path == "-" else path
     try:
         if path != "-":
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 yield fh
         elif getattr(sys.stdin, "buffer", None) is None:
             yield sys.stdin
         else:
             # sys.stdin itself decodes with surrogateescape under a POSIX
             # locale, which lets bad bytes through to fail at output.
-            stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+            stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
             try:
                 yield stdin
             finally:

@@ -2,47 +2,63 @@
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
+
+def _distances(word: str, candidates: Iterable[str]) -> Iterator[int]:
+    """Restricted Damerau-Levenshtein distance from word to each candidate.
+
+    The bit-vector algorithm of Hyyrö (2003, "A bit-vector algorithm for
+    computing Levenshtein and Damerau edit distances"), which extends
+    Myers (1999, JACM 46(3)) with adjacent transpositions.  One column of
+    the DP matrix over word is held as two bit vectors of vertical +1 and
+    -1 differences (vp, vn); each candidate character updates the whole
+    column in a fixed number of int operations, and score follows the
+    column's last cell.  Python ints grow, so word may be of any length.
+    """
+    m = len(word)
+    if m == 0:
+        yield from map(len, candidates)
+        return
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(word):
+        peq[ch] = peq.get(ch, 0) | 1 << i
+    get = peq.get
+    full = (1 << m) - 1
+    top = 1 << (m - 1)
+    for cand in candidates:
+        vp, vn, d0, pm_prev, score = full, 0, 0, 0, m
+        for ch in cand:
+            pm = get(ch, 0)
+            # Diagonal zero differences: matches, carried runs of them,
+            # and transpositions of this and the previous character.
+            d0 = ((((pm & vp) + vp) ^ vp) | pm | vn | (((~d0 & pm) << 1) & pm_prev)) & full
+            hp = vn | ~(d0 | vp)
+            hn = d0 & vp
+            if hp & top:
+                score += 1
+            elif hn & top:
+                score -= 1
+            hp = ((hp << 1) | 1) & full
+            hn = (hn << 1) & full
+            vp = hn | ~(d0 | hp)
+            vn = hp & d0
+            pm_prev = pm
+        yield score
+
 
 def dl_distance(a: str, b: str, cutoff: int = -1) -> int:
     """Restricted Damerau-Levenshtein distance between two strings.
 
     Unit costs for insertion, deletion, substitution and transposition of
-    adjacent characters.  With cutoff >= 0 the scan may stop early; any
+    adjacent characters.  With cutoff >= 0, strings whose lengths differ
+    by more than cutoff are not compared and cutoff + 1 comes back; any
     return value greater than cutoff only means the true distance exceeds
-    cutoff.
+    cutoff.  Every other result is exact.
     """
-    n, m = len(a), len(b)
-    if n == 0:
-        return m
-    if m == 0:
-        return n
-    if cutoff >= 0 and abs(n - m) > cutoff:
+    if cutoff >= 0 and abs(len(a) - len(b)) > cutoff:
         return cutoff + 1
-
-    prev2 = [0] * (m + 1)
-    prev = list(range(m + 1))
-    cur = [0] * (m + 1)
-    for i in range(1, n + 1):
-        ca = a[i - 1]
-        cur[0] = i
-        best = i
-        for j in range(1, m + 1):
-            cost = 0 if ca == b[j - 1] else 1
-            val = prev[j - 1] + cost
-            if prev[j] + 1 < val:
-                val = prev[j] + 1
-            if cur[j - 1] + 1 < val:
-                val = cur[j - 1] + 1
-            if i > 1 and j > 1 and ca == b[j - 2] and a[i - 2] == b[j - 1]:
-                if prev2[j - 2] + 1 < val:
-                    val = prev2[j - 2] + 1
-            cur[j] = val
-            if val < best:
-                best = val
-        if cutoff >= 0 and best > cutoff:
-            return cutoff + 1
-        prev2, prev, cur = prev, cur, prev2
-    return prev[m]
+    return next(_distances(a, (b,)))
 
 
 def lcs_length(a: str, b: str) -> int:
@@ -67,11 +83,7 @@ def scan_distances(word: str, candidates: list[str], max_dist: int) -> list[tupl
     """Distances from word to every candidate within max_dist.
 
     Returns (candidate, distance) pairs in candidate order, keeping only
-    those with dl_distance(word, candidate) <= max_dist.
+    those with dl_distance(word, candidate) <= max_dist.  The query's
+    match masks are built once for the whole list.
     """
-    out = []
-    for cand in candidates:
-        d = dl_distance(word, cand, max_dist)
-        if d <= max_dist:
-            out.append((cand, d))
-    return out
+    return [(cand, d) for cand, d in zip(candidates, _distances(word, candidates)) if d <= max_dist]

@@ -73,7 +73,8 @@ class Lexicon:
         """Load a lexicon from a text file.
 
         One word per line; an optional tab-separated run of ASCII digits
-        after the word is taken as its frequency.  Raises InvalidEncoding,
+        after the word is taken as its frequency.  A leading UTF-8 byte
+        order mark is not part of the first word.  Raises InvalidEncoding,
         MalformedLexicon or EmptyInput for a file that is not UTF-8, has
         a frequency but no word, a word holding whitespace or a frequency
         that is not ASCII digits, or holds no word.
@@ -81,7 +82,7 @@ class Lexicon:
         words: list[str] = []
         freqs: dict[str, int] = {}
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 first = 1
                 while block := [line.rstrip().partition("\t") for line in islice(fh, _BLOCK)]:
                     for line_no, (word, _, count) in enumerate(_check_block(block, first, path), first):

@@ -18,6 +18,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import IO, Iterable
 
 from gectools.errors import EmptySentence
@@ -159,9 +160,14 @@ class ConfusionProvider:
        edit takes at most one letter out of the query's letter multiset
        and adds at most one, so a word w within max_distance of the
        query q shares at least max(len(q), len(w)) - max_distance
-       letters with it.  Multisets are bit masks with one bit per
-       (letter, occurrence index) pair, built per length bucket the
-       first time a query needs the bucket.
+       letters with it, counting each letter c min(q_c, w_c) times.
+       Each bucket of words of one length L keeps, per letter, one byte
+       per word holding that word's count of the letter, built the
+       first time a query visits the bucket.  A query adds up its
+       letters' counts, each capped at its own count, as one big int
+       per bucket: a byte lane never exceeds L, so no lane carries into
+       the next.  A bucket whose counts do not fit in bytes (L > 255,
+       or more than 255 distinct letters) is scanned unfiltered.
     """
 
     def __init__(self, lexicon: Lexicon, max_distance: int = 2):
@@ -172,11 +178,10 @@ class ConfusionProvider:
         for word in lexicon.sorted_words:
             self._buckets.setdefault(len(word), []).append(word)
         self._lengths = sorted(self._buckets)
-        # Built lazily: the lexicon's alphabet, the bit of each
-        # (letter, occurrence index) pair, and each bucket's masks.
+        # Built lazily: the lexicon's alphabet and each bucket's letter
+        # counts (None for a bucket that is not filtered).
         self._alphabet: str | None = None
-        self._bits: dict[tuple[str, int], int] = {}
-        self._masks: dict[int, list[int]] = {}
+        self._counts: dict[int, dict[str, bytes] | None] = {}
 
     def confusion_set(self, word: str, k: int = 20) -> list[str]:
         """Up to k in-lexicon alternatives for word (the word itself is
@@ -202,7 +207,13 @@ class ConfusionProvider:
         near.discard("")  # the scan never looks at words shorter than 1
         scored = sorted((1, -freq(cand), cand) for cand in near)
         if max_dist > 1 and not 0 <= k <= len(scored):
-            query = self._mask(word)
+            # Byte tables mapping a word's count v of a letter to
+            # min(v, n), n the query's count of it (capped at 255, where
+            # the table is the identity).
+            caps = []
+            for ch, n in Counter(word).items():
+                n = min(n, 255)
+                caps.append((ch, bytes(range(n)) + bytes((n,)) * (256 - n)))
             candidates: list[str] = []
             lengths = self._lengths
             lo = bisect_left(lengths, max(1, len(word) - max_dist))
@@ -210,11 +221,16 @@ class ConfusionProvider:
             for length in lengths[lo:hi]:
                 bucket = self._buckets[length]
                 need = max(len(word), length) - max_dist
-                candidates.extend(
-                    cand
-                    for cand, mask in zip(bucket, self._bucket_masks(length))
-                    if (query & mask).bit_count() >= need and cand not in near
-                )
+                words: Iterable[str] = bucket
+                if need > 0 and (counts := self._letter_counts(length)) is not None:
+                    shared = 0
+                    for ch, cap in caps:
+                        column = counts.get(ch)
+                        if column is not None:
+                            shared += int.from_bytes(column.translate(cap), "little")
+                    at_least = bytes(need) + b"\x01" * (256 - need)
+                    words = compress(bucket, shared.to_bytes(len(bucket), "little").translate(at_least))
+                candidates.extend(cand for cand in words if cand not in near)
             for cand, dist in scan_distances(word, candidates, max_dist):
                 if cand != word:
                     scored.append((dist, -freq(cand), cand))
@@ -234,20 +250,27 @@ class ConfusionProvider:
         out.update(head + ch + tail for head, tail in splits for ch in alphabet)
         return out
 
-    def _mask(self, word: str) -> int:
-        bits = self._bits
-        seen: dict[str, int] = {}
-        mask = 0
-        for ch in word:
-            n = seen[ch] = seen.get(ch, -1) + 1
-            mask |= 1 << bits.setdefault((ch, n), len(bits))
-        return mask
-
-    def _bucket_masks(self, length: int) -> list[int]:
-        masks = self._masks.get(length)
-        if masks is None:
-            masks = self._masks[length] = [self._mask(w) for w in self._buckets[length]]
-        return masks
+    def _letter_counts(self, length: int) -> dict[str, bytes] | None:
+        """For each letter of the bucket of words of this length, one byte
+        per word (in bucket order): the word's count of the letter.  None
+        when a count or a letter's code would not fit in a byte."""
+        if length in self._counts:
+            return self._counts[length]
+        joined = "".join(self._buckets[length])
+        letters = set(joined)
+        counts = None
+        if length <= 255 and len(letters) <= 255:
+            codes = joined.translate({ord(ch): code for code, ch in enumerate(letters)}).encode("latin-1")
+            # Times the repunit, each word's L bytes of 0/1 sum into its
+            # last byte; no sum exceeds L, so nothing carries.
+            repunit = int.from_bytes(b"\x01" * length, "little")
+            end = len(joined)
+            counts = {}
+            for code, ch in enumerate(letters):
+                ones = int.from_bytes(codes.translate(bytes(code) + b"\x01" + bytes(255 - code)), "little")
+                counts[ch] = (ones * repunit).to_bytes(end + length, "little")[length - 1 : end : length]
+        self._counts[length] = counts
+        return counts
 
     def random_word(self, rng: random.Random) -> str:
         words = self.lexicon.sorted_words

@@ -88,6 +88,11 @@ def tokenize(text: str) -> Sentence:
         raise EmptyInput("cannot tokenize empty text")
     forms: list[str] = []
     for chunk in text.split():
+        # No alphanumeric character is punctuation (Unicode category P),
+        # so such a chunk has nothing to peel.
+        if chunk[0].isalnum() and chunk[-1].isalnum():
+            forms.append(chunk)
+            continue
         start, end = peel_punct(chunk)
         forms.extend(chunk[:start])
         if start < end:

@@ -10,11 +10,31 @@ from __future__ import annotations
 
 import math
 import random
+import unicodedata
 from collections import defaultdict
 from typing import Iterable
 
 from gectools.errors import MalformedArpa
 from gectools.lm import ArpaModel
+
+
+# --- tokenization (per-character punctuation flags) -------------------------
+
+
+def ref_tokenize(text: str) -> list[str]:
+    """Token forms of text: every whitespace-separated chunk, with each
+    leading and trailing punctuation character (Unicode category P) a
+    form of its own."""
+    forms: list[str] = []
+    for chunk in text.split():
+        punct = [unicodedata.category(ch).startswith("P") for ch in chunk]
+        if all(punct):
+            forms.extend(chunk)
+            continue
+        first = punct.index(False)
+        last = len(chunk) - punct[::-1].index(False)
+        forms.extend([*chunk[:first], chunk[first:last], *chunk[last:]])
+    return forms
 
 
 # --- character-level distances (full-matrix reference) ---------------------

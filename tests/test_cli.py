@@ -574,3 +574,53 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "extract" in result.stdout and "rerank" in result.stdout
+
+
+BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte order mark is skipped, never read as data."""
+
+    @pytest.fixture
+    def dirs(self, tmp_path):
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "marked").mkdir()
+        return tmp_path / "plain", tmp_path / "marked"
+
+    def test_plain_text_file(self, dirs):
+        plain = {"o.txt": "sau mergem acasă\n", "c.txt": "sau mergem acasă\n"}
+        marked = {**plain, "o.txt": BOM + plain["o.txt"].encode("utf-8")}
+        argv = ["extract", "o.txt", "c.txt"]
+        expect = run_cli(dirs[0], plain, argv)
+        got = run_cli(dirs[1], marked, argv)
+        assert got == expect
+        assert "A -1 -1|||noop" in got[1]
+
+    def test_stdin(self, dirs):
+        text = "sau mergem acasă\n".encode("utf-8")
+        files_in = {"c.txt": text}
+        expect = run_cli(dirs[0], {**files_in, "-": text}, ["extract", "-", "c.txt"])
+        got = run_cli(dirs[1], {**files_in, "-": BOM + text}, ["extract", "-", "c.txt"])
+        assert got == expect
+        assert "A -1 -1|||noop" in got[1]
+
+    def test_conllu(self, dirs):
+        from tests.conftest import DATA
+
+        orig = (DATA / "classify_orig.conllu").read_bytes()
+        corr = (DATA / "classify_corr.conllu").read_bytes()
+        argv = ["extract", "o.conllu", "c.conllu", "--conllu"]
+        expect = run_cli(dirs[0], {"o.conllu": orig, "c.conllu": corr}, argv)
+        got = run_cli(dirs[1], {"o.conllu": BOM + orig, "c.conllu": BOM + corr}, argv)
+        assert expect[0] == 0, expect[2]
+        assert got == expect
+
+    def test_lexicon(self, tmp_path):
+        from gectools.lexicon import Lexicon
+
+        path = tmp_path / "lex.txt"
+        path.write_bytes(BOM + "casa\t3\nmasa\n".encode("utf-8"))
+        lexicon = Lexicon.from_file(path)
+        assert lexicon.words == {"casa", "masa"}
+        assert lexicon.freq("casa") == 3

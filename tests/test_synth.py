@@ -184,6 +184,55 @@ class TestConfusionSetAgainstScan:
             assert huge.confusion_set(query, 100) == bounded.confusion_set(query, 100), query
 
 
+class TestLetterFilterLimits:
+    """Buckets and queries past what the letter filter's one byte per word
+    and letter holds get the same answers as the linear scan."""
+
+    @staticmethod
+    def assert_matches_oracle(lexicon, queries, max_distance):
+        provider = ConfusionProvider(lexicon, max_distance=max_distance)
+        for query in queries:
+            ranked = [cand for _, _, cand in ref_confusion_ranking(lexicon, query, max_distance)]
+            for k in (1, 5, 100):
+                assert provider.confusion_set(query, k) == ranked[:k], (query[:20], len(query), k)
+
+    def test_words_longer_than_255(self):
+        # Buckets of length 254-258 and 298-302: the longer ones and the
+        # 256-258 ones are scanned unfiltered.
+        rng = random.Random(3)
+        base = ["".join(rng.choice("abcă") for _ in range(300)), "ab" * 128]
+        words = {"casa", "masa"}
+        for word in base:
+            for i in (1, 100):
+                words.update((word[:i] + word[i + 1 :], word[:i] + "c" + word[i:], word[:i] + "ș" + word[i + 1 :]))
+            words.add(word[:-2])
+        queries = [base[0], base[1], base[0][:150] + base[0][151:], base[1][:-1] + "x"]
+        self.assert_matches_oracle(Lexicon.from_words(words), queries, 2)
+
+    def test_more_than_255_distinct_letters(self):
+        rng = random.Random(5)
+        cjk = [chr(0x4E00 + i) for i in range(300)]
+        words = {"".join(rng.choice(cjk) for _ in range(rng.randint(2, 4))) for _ in range(600)}
+        words.update(make_words(300))
+        lexicon = Lexicon.from_words(words)
+        assert len(set("".join(w for w in words if len(w) == 3))) > 255
+        queries = noisy_queries(lexicon.sorted_words, 40, seed=9)
+        self.assert_matches_oracle(lexicon, queries, 2)
+
+    @pytest.mark.parametrize("max_distance", [3, 4, 6])
+    def test_max_distance_at_least_query_length(self, max_distance):
+        words = make_words(4000)[::8]
+        lexicon = Lexicon.from_words(words + ["a", "ba", "ab", "abc"])
+        queries = ["a", "ab", "ba", "bac", "pa", "ma"]
+        assert all(len(q) <= max_distance for q in queries)
+        self.assert_matches_oracle(lexicon, queries, max_distance)
+
+    def test_query_with_more_than_255_copies_of_a_letter(self):
+        words = ["a" * n for n in range(253, 262)] + ["a" * 254 + "b", "b" + "a" * 256, "a" * 128 + "b" * 128]
+        queries = ["a" * 257, "a" * 256 + "b", "a" * 300]
+        self.assert_matches_oracle(Lexicon.from_words(words + ["casa"]), queries, 2)
+
+
 class OracleProvider(ConfusionProvider):
     """A provider whose confusion sets come from the linear-scan oracle."""
 

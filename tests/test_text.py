@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gectools.errors import EmptyInput, MalformedLine
 from gectools.text import Sentence, Token, is_punct, parse_conllu, render, tokenize
+from tests.oracles import ref_tokenize
 
 
 class TestTokenize:
@@ -41,6 +42,15 @@ class TestTokenize:
             return
         again = tokenize(render(toks))
         assert [t.form for t in again] == [t.form for t in toks]
+
+    # Letters and digits of several categories (Lu, Ll, Lo, Nd, No, Nl),
+    # symbols (S*) and punctuation (P*) at either end of a chunk.
+    @given(st.text(alphabet="aȘß中٣²Ⅻ7 $+%-_«»¿.,\"'", min_size=1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, text):
+        if not text.strip():
+            return
+        assert [t.form for t in tokenize(text)] == ref_tokenize(text)
 
     def test_tokens_carry_no_annotations(self):
         tok = tokenize("casa mare")[0]
