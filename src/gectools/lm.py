@@ -20,10 +20,13 @@ that convention, the probabilities of any observed context sum to one
 over the vocabulary minus <s>.
 
 Training estimates one order at a time, so beside the counts and the
-model only that order's adjusted counts are held.  It walks them in
-sorted order, where the grams of one context form one run, and finishes
-each run before the next, so it keeps no per-context tables.  Reading
-holds a bounded chunk of lines beside the model.
+model it holds only that order's adjusted counts and sorted gram list.
+No gram string is held twice: the continuation counts are keyed by the
+order's own raw-count keys, and the highest order is read in place from
+its raw counts.  Training walks the sorted grams, where the grams of one
+context form one run, and finishes each run before the next, so it
+keeps no per-context tables.  Reading holds a bounded chunk of lines
+beside the model.
 """
 
 from __future__ import annotations
@@ -80,39 +83,40 @@ def count_ngrams(sentences: Iterable[Sentence], order: int) -> NgramCounts:
     return NgramCounts(order=order, counts=counts)
 
 
-def _adjusted_counts(counts: NgramCounts, n: int) -> dict[str, int]:
-    """Order n's Kneser-Ney adjusted counts, with grams ending in <s> removed.
+def _adjusted_counts(counts: NgramCounts, n: int) -> tuple[dict[str, int], list[str]]:
+    """Order n's Kneser-Ney adjusted counts and the sorted list of the
+    grams that have one, grams ending in <s> left out.
 
-    The highest order keeps raw counts.  Below it, a gram's count is the
-    number of distinct words that precede it, except that grams starting
-    with <s> (which can never be preceded) keep their raw counts.
+    The highest order keeps raw counts: its adjusted counts are
+    counts.raw(n) itself.  Below it, a gram's count is the number of
+    distinct words that precede it, except that grams starting with <s>
+    (which can never be preceded) keep their raw counts.  Every key is a
+    key string of counts.raw(n): no gram string is held twice.
     """
     # A gram's first or last word is <s> when it starts or ends with one
     # of these, or is <s> itself.
     sos_first, sos_last = SOS + " ", " " + SOS
+    raw = counts.raw(n)
     if n == counts.order:
-        return {gram: c for gram, c in counts.raw(n).items() if not (gram.endswith(sos_last) or gram == SOS)}
-    continuation: dict[str, int] = {}
-    for gram in counts.raw(n + 1):
-        suffix = gram[gram.find(" ") + 1 :]
-        if not (suffix.startswith(sos_first) or suffix == SOS):
-            continuation[suffix] = continuation.get(suffix, 0) + 1
-    table = {}
-    for gram, c in counts.raw(n).items():
-        if gram.endswith(sos_last) or gram == SOS:
-            continue
-        if gram.startswith(sos_first):
-            table[gram] = c
-        else:
-            cont = continuation.get(gram, 0)
-            if cont > 0:
-                table[gram] = cont
-    return table
+        adjusted = raw
+    else:
+        # Suffix closure: every suffix of an order n+1 gram is a key of
+        # raw(n), so each count lands on that key's string and the sliced
+        # suffix is freed right after its lookup.
+        adjusted = Counter(dict.fromkeys(raw, 0))
+        adjusted.update(gram[gram.find(" ") + 1 :] for gram in counts.raw(n + 1))
+        # Grams starting with <s> keep their raw counts, in place of the
+        # continuation counts just tallied.
+        for gram, c in raw.items():
+            if gram.startswith(sos_first):
+                adjusted[gram] = c
+    grams = sorted(gram for gram in raw if adjusted[gram] and not (gram.endswith(sos_last) or gram == SOS))
+    return adjusted, grams
 
 
-def _estimate_discount(adjusted: dict[str, int], n: int) -> float:
-    n1 = sum(1 for c in adjusted.values() if c == 1)
-    n2 = sum(1 for c in adjusted.values() if c == 2)
+def _estimate_discount(adjusted: dict[str, int], grams: list[str], n: int) -> float:
+    count_of_counts = Counter(map(adjusted.__getitem__, grams))
+    n1, n2 = count_of_counts[1], count_of_counts[2]
     if n1 == 0 or n2 == 0:
         warnings.warn(
             f"order {n}: count-of-counts too sparse to estimate a discount "
@@ -176,8 +180,8 @@ def train_kneser_ney(
     (with a DegenerateCounts warning) when the statistics are too sparse.
     """
     order = counts.order
-    unigrams = _adjusted_counts(counts, 1)
-    if not unigrams:
+    adjusted, grams = _adjusted_counts(counts, 1)
+    if not grams:
         raise EmptyInput("cannot train a model from an empty corpus")
 
     ds: list[float | None] = [None] * order
@@ -200,23 +204,24 @@ def train_kneser_ney(
         tables[n - 1][" ".join([SOS] * n)] = complex(DUMMY_LOGPROB, 0.0)
 
     # Unigrams: leftover mass goes to <unk>.
-    d1 = _estimate_discount(unigrams, 1) if ds[0] is None else ds[0]
-    total = sum(unigrams.values())
-    probs: dict[str, float] = {gram: (c - d1) / total for gram, c in unigrams.items()}
-    probs[UNK] = probs.get(UNK, 0.0) + d1 * len(unigrams) / total
+    d1 = _estimate_discount(adjusted, grams, 1) if ds[0] is None else ds[0]
+    total = sum(map(adjusted.__getitem__, grams))
+    probs: dict[str, float] = {gram: (adjusted[gram] - d1) / total for gram in grams}
+    probs[UNK] = probs.get(UNK, 0.0) + d1 * len(grams) / total
     tables[0].update((gram, complex(math.log10(p), 0.0)) for gram, p in probs.items())
-    del unigrams, probs
+    del adjusted, grams, probs
 
     # One order at a time: its adjusted counts are gone before the next
     # order's are built.
     for n in range(2, order + 1):
-        _estimate_order(_adjusted_counts(counts, n), n, ds[n - 1], tables[n - 2], tables[n - 1])
+        _estimate_order(*_adjusted_counts(counts, n), n, ds[n - 1], tables[n - 2], tables[n - 1])
 
     return ArpaModel(order=order, tables=tuple(tables))
 
 
 def _estimate_order(
     adjusted: dict[str, int],
+    grams: list[str],
     n: int,
     dn: float | None,
     lower: dict[str, complex],
@@ -225,13 +230,13 @@ def _estimate_order(
     """Fill table with order n's entries and put its backoff weights on
     their contexts in lower, the finished table of order n - 1.
 
-    The grams of one context all start with "context ", so in sorted
-    order they form one run: each run is summed, weighted and written
-    before the next is read.
+    grams is the sorted list of the grams that have an adjusted count.
+    The grams of one context all start with "context ", so they form one
+    run: each run is summed, weighted and written before the next is read.
     """
     if dn is None:
-        dn = _estimate_discount(adjusted, n)
-    for ctx, run in groupby(sorted(adjusted), key=lambda gram: gram[: gram.rfind(" ")]):
+        dn = _estimate_discount(adjusted, grams, n)
+    for ctx, run in groupby(grams, key=lambda gram: gram[: gram.rfind(" ")]):
         run = list(run)
         total = sum(map(adjusted.__getitem__, run))
         gamma = dn * len(run) / total

@@ -49,7 +49,8 @@ class Token:
     def __post_init__(self):
         if not self.form:
             raise ValueError("token form must be non-empty")
-        if any(ch.isspace() for ch in self.form):
+        # One C call: split() breaks on exactly the str.isspace() characters.
+        if self.form.split() != [self.form]:
             raise ValueError(f"token form contains whitespace: {self.form!r}")
         if self.upos is not None and self.upos not in UD_UPOS:
             raise ValueError(f"unknown UPOS tag: {self.upos!r}")
@@ -156,7 +157,7 @@ def parse_conllu(lines: Iterable[str]) -> list[Sentence]:
             raise MalformedLine(line_no, f"bad token id: {token_id!r}, expected {len(tokens) + 1}")
         if not form or form == "_":
             raise MalformedLine(line_no, f"bad token form: {form!r}")
-        if any(ch.isspace() for ch in form):
+        if form.split() != [form]:
             raise MalformedLine(line_no, f"token form contains whitespace: {form!r}")
         upos_val = _field(upos)
         if upos_val is not None and upos_val not in UD_UPOS:

@@ -1,6 +1,7 @@
 """Tokenization, Token/Sentence invariants, and CoNLL-U parsing."""
 
 import io
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,10 @@ class TestTokenize:
         assert tok.lemma is None and tok.upos is None
 
 
+# Every code point str.isspace() holds true for.
+WHITESPACE = [chr(cp) for cp in range(sys.maxunicode + 1) if chr(cp).isspace()]
+
+
 class TestToken:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -66,6 +71,12 @@ class TestToken:
         with pytest.raises(ValueError):
             Token(form="ok", upos="NOPE")
         Token(form="ok", lemma="ok", upos="NOUN")
+
+    @pytest.mark.parametrize("ch", WHITESPACE, ids=lambda ch: f"U+{ord(ch):04X}")
+    def test_every_whitespace_character_is_rejected(self, ch):
+        for form in (ch, f"a{ch}", f"{ch}a", f"a{ch}b"):
+            with pytest.raises(ValueError, match="whitespace"):
+                Token(form=form)
 
     def test_is_punct(self):
         assert is_punct(",") and is_punct("...") and is_punct("„")
@@ -121,6 +132,18 @@ class TestParseConllu:
         with pytest.raises(MalformedLine) as err:
             parse_conllu(io.StringIO(bad))
         assert err.value.line_no == 1
+
+    @pytest.mark.parametrize("ch", WHITESPACE, ids=lambda ch: f"U+{ord(ch):04X}")
+    def test_every_whitespace_character_in_a_form_is_rejected(self, ch):
+        good = "1\tcasa\tcasă\tNOUN\t_\t_\t0\troot\t_\t_\n"
+        for form in (f"a{ch}", f"{ch}a", f"a{ch}b"):
+            bad = f"2\t{form}\t_\tNOUN\t_\t_\t1\tobj\t_\t_\n"
+            # A tab in the form is a column break; any other whitespace
+            # character stays inside the FORM column.
+            match = "columns" if ch == "\t" else "whitespace"
+            with pytest.raises(MalformedLine, match=match) as err:
+                parse_conllu([good, bad])
+            assert err.value.line_no == 2, (form, err.value)
 
     @pytest.mark.parametrize("token_id", ["\u00b2", "\u0661", "\uff11"])
     def test_word_id_takes_ascii_digits_only(self, token_id):

@@ -12,7 +12,9 @@ better in at least nine tenths of the pairs, and the medians apart by
 more than the distance between the parent's quartiles.  Then it lists
 every output file both sides digest whose sha256 differs in any run, and
 the failed items of each side.  Compare checkouts whose paths have the
-same length.
+same length and that hold no __pycache__ directory under src/: compiled
+bytecode moves peak_rss_mb by about 0.3 MB, so the tool refuses to run
+when either checkout has one.
 """
 
 from __future__ import annotations
@@ -68,6 +70,10 @@ def main() -> int:
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
     sides = (args.parent, args.change)
+    for side in sides:
+        cached = next((side / "src").rglob("__pycache__"), None)
+        if cached is not None:
+            raise SystemExit(f"error: {cached}: compiled bytecode changes peak_rss_mb; remove it before comparing")
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
     failed = {side: 0 for side in sides}
     attempted = {side: 0 for side in sides}
