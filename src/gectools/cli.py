@@ -273,8 +273,8 @@ def cmd_lm_train(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateCounts)
         model = lm_mod.train_kneser_ney(counts, discounts=args.discount)
-    # The model shares the counts' gram strings; the count dicts and
-    # their ints are freed before writing.
+    # The model's tables share the counts' bytes keys, so dropping the
+    # counts frees only the count dicts and their ints before writing.
     del counts
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)

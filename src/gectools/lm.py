@@ -19,13 +19,25 @@ weight, mirroring the conventional treatment of the <s> unigram.  With
 that convention, the probabilities of any observed context sum to one
 over the vocabulary minus <s>.
 
+Counts and model tables key each gram by the UTF-8 bytes of its words
+joined by single spaces (b"<s> fata merge").  Gram keys are the largest
+part of an n-gram model's memory, and Romanian's ă, ș and ț lie above
+U+00FF, so as a str a gram holding one takes 2 bytes a character plus a
+72-byte header; its bytes take 1 for an ASCII letter and 2 for each of
+those, plus 33.  A bytes object is never larger than the str it encodes.
+Encoding uses errors="surrogatepass", so every str maps to exactly one
+key and back.  UTF-8 bytes sort in code point order, so sorted keys are
+sorted text.  The query API stays str: ArpaModel.vocab and word_logprob
+take and give str words, and read_arpa and write_arpa read and write
+text.
+
 Training estimates one order at a time, so beside the counts and the
 model it holds only that order's adjusted counts and sorted gram list.
-No gram string is held twice: the continuation counts are keyed by the
-order's own raw-count keys, and the highest order is read in place from
-its raw counts.  Training walks the sorted grams, where the grams of one
-context form one run, and finishes each run before the next, so it
-keeps no per-context tables.  Reading holds a bounded chunk of lines
+No gram is held twice: the continuation counts are keyed by the order's
+own raw-count keys, and the highest order is read in place from its raw
+counts.  Training walks the sorted grams, where the grams of one context
+form one run, and finishes each run before the next, so it keeps no
+per-context tables.  Reading and writing hold a bounded chunk of lines
 beside the model.
 """
 
@@ -46,6 +58,11 @@ SOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 
+# Every str maps to exactly one key and back: lone surrogates, which
+# strict UTF-8 refuses, encode to their own three bytes.
+_ENCODING = ("utf-8", "surrogatepass")
+_SOS, _EOS, _UNK = (word.encode(*_ENCODING) for word in (SOS, EOS, UNK))
+
 DUMMY_LOGPROB = -99.0
 FALLBACK_DISCOUNT = 0.75
 
@@ -54,15 +71,17 @@ FALLBACK_DISCOUNT = 0.75
 class NgramCounts:
     """Raw n-gram counts for every order up to `order`.
 
-    counts[n-1] maps each n-gram, written as its words joined by single
-    spaces like the keys of ArpaModel.tables ("<s> fata merge"), to its
-    count.  Words contain no space.
+    counts[n-1] maps each n-gram, written as the UTF-8 bytes of its
+    words joined by single spaces like the keys of ArpaModel.tables
+    (b"<s> fata merge"), to its count.  Words contain no space.  Bytes
+    keys take about half the memory of str keys for Romanian text (see
+    the module docstring).
     """
 
     order: int
-    counts: tuple[dict[str, int], ...]
+    counts: tuple[dict[bytes, int], ...]
 
-    def raw(self, n: int) -> dict[str, int]:
+    def raw(self, n: int) -> dict[bytes, int]:
         return self.counts[n - 1]
 
 
@@ -71,19 +90,19 @@ def count_ngrams(sentences: Iterable[Sentence], order: int) -> NgramCounts:
     if order < 1:
         raise ValueError("order must be at least 1")
     counts = tuple(Counter() for _ in range(order))
-    pad = [SOS] * (order - 1)
+    pad = [_SOS] * (order - 1)
     for sentence in sentences:
-        words = pad + [t.form for t in sentence.tokens] + [EOS]
+        words = pad + [t.form.encode(*_ENCODING) for t in sentence.tokens] + [_EOS]
         grams = words
         counts[0].update(grams)
         # Each order's grams are the previous order's plus the next word.
         for n in range(2, order + 1):
-            grams = [f"{gram} {word}" for gram, word in zip(grams, words[n - 1 :])]
+            grams = list(map(b" ".join, zip(grams, words[n - 1 :])))
             counts[n - 1].update(grams)
     return NgramCounts(order=order, counts=counts)
 
 
-def _adjusted_counts(counts: NgramCounts, n: int) -> tuple[dict[str, int], list[str]]:
+def _adjusted_counts(counts: NgramCounts, n: int) -> tuple[dict[bytes, int], list[bytes]]:
     """Order n's Kneser-Ney adjusted counts and the sorted list of the
     grams that have one, grams ending in <s> left out.
 
@@ -91,30 +110,30 @@ def _adjusted_counts(counts: NgramCounts, n: int) -> tuple[dict[str, int], list[
     counts.raw(n) itself.  Below it, a gram's count is the number of
     distinct words that precede it, except that grams starting with <s>
     (which can never be preceded) keep their raw counts.  Every key is a
-    key string of counts.raw(n): no gram string is held twice.
+    key of counts.raw(n): no gram is held twice.
     """
     # A gram's first or last word is <s> when it starts or ends with one
     # of these, or is <s> itself.
-    sos_first, sos_last = SOS + " ", " " + SOS
+    sos_first, sos_last = _SOS + b" ", b" " + _SOS
     raw = counts.raw(n)
     if n == counts.order:
         adjusted = raw
     else:
         # Suffix closure: every suffix of an order n+1 gram is a key of
-        # raw(n), so each count lands on that key's string and the sliced
+        # raw(n), so each count lands on that key's bytes and the sliced
         # suffix is freed right after its lookup.
         adjusted = Counter(dict.fromkeys(raw, 0))
-        adjusted.update(gram[gram.find(" ") + 1 :] for gram in counts.raw(n + 1))
+        adjusted.update(gram[gram.find(b" ") + 1 :] for gram in counts.raw(n + 1))
         # Grams starting with <s> keep their raw counts, in place of the
         # continuation counts just tallied.
         for gram, c in raw.items():
             if gram.startswith(sos_first):
                 adjusted[gram] = c
-    grams = sorted(gram for gram in raw if adjusted[gram] and not (gram.endswith(sos_last) or gram == SOS))
+    grams = sorted(gram for gram in raw if adjusted[gram] and not (gram.endswith(sos_last) or gram == _SOS))
     return adjusted, grams
 
 
-def _estimate_discount(adjusted: dict[str, int], grams: list[str], n: int) -> float:
+def _estimate_discount(adjusted: dict[bytes, int], grams: list[bytes], n: int) -> float:
     count_of_counts = Counter(map(adjusted.__getitem__, grams))
     n1, n2 = count_of_counts[1], count_of_counts[2]
     if n1 == 0 or n2 == 0:
@@ -131,20 +150,22 @@ def _estimate_discount(adjusted: dict[str, int], grams: list[str], n: int) -> fl
 class ArpaModel:
     """A backoff n-gram model in memory.
 
-    tables[n-1] maps each n-gram, written as its words joined by single
-    spaces exactly as in an ARPA file ("<s> ea merge"), to complex(log10
-    probability, log10 backoff weight): .real is the probability and
-    .imag the backoff weight, which is 0.0 for grams that never serve as
-    a context and for grams of the highest order.  Words contain no
-    space.
+    tables[n-1] maps each n-gram, written as the UTF-8 bytes of its
+    words joined by single spaces exactly as in an ARPA file
+    (b"<s> ea merge"), to complex(log10 probability, log10 backoff
+    weight): .real is the probability and .imag the backoff weight, which
+    is 0.0 for grams that never serve as a context and for grams of the
+    highest order.  Words contain no space.  Bytes keys take about half
+    the memory of str keys for Romanian text (see the module docstring).
+    vocab and word_logprob keep a str API and encode inside.
     """
 
     order: int
-    tables: tuple[dict[str, complex], ...]
+    tables: tuple[dict[bytes, complex], ...]
 
     @property
     def vocab(self) -> frozenset[str]:
-        return frozenset(self.tables[0])
+        return frozenset(gram.decode(*_ENCODING) for gram in self.tables[0])
 
     def word_logprob(self, word: str, context: tuple[str, ...]) -> float:
         """log10 P(word | context), backing off as needed.
@@ -154,18 +175,19 @@ class ArpaModel:
         """
         acc = 0.0
         n = len(context)
-        ctx = " ".join(context)
+        key = word.encode(*_ENCODING)
+        ctx = " ".join(context).encode(*_ENCODING)
         while True:
-            entry = self.tables[n].get(f"{ctx} {word}" if n else word)
+            entry = self.tables[n].get(ctx + b" " + key if n else key)
             if entry is not None:
                 return acc + entry.real
             if not n:
-                unk = self.tables[0].get(UNK)
+                unk = self.tables[0].get(_UNK)
                 return acc + (unk.real if unk is not None else DUMMY_LOGPROB)
             ctx_entry = self.tables[n - 1].get(ctx)
             if ctx_entry is not None:
                 acc += ctx_entry.imag
-            ctx = ctx.partition(" ")[2]
+            ctx = ctx.partition(b" ")[2]
             n -= 1
 
 
@@ -196,18 +218,18 @@ def train_kneser_ney(
             if not 0.0 < d < 1.0:
                 raise ValueError(f"discount must lie strictly between 0 and 1, got {d}")
 
-    tables: list[dict[str, complex]] = [dict() for _ in range(order)]
+    tables: list[dict[bytes, complex]] = [dict() for _ in range(order)]
     # Dummy entries for the all-<s> grams, which the padding of any
     # sentence holds, so they can carry backoff weights; and the <s>
     # unigram itself even in a unigram model.
     for n in range(1, max(order, 2)):
-        tables[n - 1][" ".join([SOS] * n)] = complex(DUMMY_LOGPROB, 0.0)
+        tables[n - 1][b" ".join([_SOS] * n)] = complex(DUMMY_LOGPROB, 0.0)
 
     # Unigrams: leftover mass goes to <unk>.
     d1 = _estimate_discount(adjusted, grams, 1) if ds[0] is None else ds[0]
     total = sum(map(adjusted.__getitem__, grams))
-    probs: dict[str, float] = {gram: (adjusted[gram] - d1) / total for gram in grams}
-    probs[UNK] = probs.get(UNK, 0.0) + d1 * len(grams) / total
+    probs: dict[bytes, float] = {gram: (adjusted[gram] - d1) / total for gram in grams}
+    probs[_UNK] = probs.get(_UNK, 0.0) + d1 * len(grams) / total
     tables[0].update((gram, complex(math.log10(p), 0.0)) for gram, p in probs.items())
     del adjusted, grams, probs
 
@@ -220,30 +242,30 @@ def train_kneser_ney(
 
 
 def _estimate_order(
-    adjusted: dict[str, int],
-    grams: list[str],
+    adjusted: dict[bytes, int],
+    grams: list[bytes],
     n: int,
     dn: float | None,
-    lower: dict[str, complex],
-    table: dict[str, complex],
+    lower: dict[bytes, complex],
+    table: dict[bytes, complex],
 ) -> None:
     """Fill table with order n's entries and put its backoff weights on
     their contexts in lower, the finished table of order n - 1.
 
     grams is the sorted list of the grams that have an adjusted count.
-    The grams of one context all start with "context ", so they form one
+    The grams of one context all start with b"context ", so they form one
     run: each run is summed, weighted and written before the next is read.
     """
     if dn is None:
         dn = _estimate_discount(adjusted, grams, n)
-    for ctx, run in groupby(grams, key=lambda gram: gram[: gram.rfind(" ")]):
+    for ctx, run in groupby(grams, key=lambda gram: gram[: gram.rfind(b" ")]):
         run = list(run)
         total = sum(map(adjusted.__getitem__, run))
         gamma = dn * len(run) / total
         for gram in run:
             # Suffix closure: the next-lower-order gram, the gram without
             # its first word, is always present.
-            p_low = 10.0 ** lower[gram[gram.find(" ") + 1 :]].real
+            p_low = 10.0 ** lower[gram[gram.find(b" ") + 1 :]].real
             p = max(adjusted[gram] - dn, 0.0) / total + gamma * p_low
             table[gram] = complex(math.log10(p), 0.0)
         # A context ending in a literal <s> word of the text has no entry
@@ -252,8 +274,8 @@ def _estimate_order(
         lower[ctx] = complex(DUMMY_LOGPROB if entry is None else entry.real, math.log10(gamma))
 
 
-# Characters that sort before the space separating a gram's words.
-_BELOW_SPACE = re.compile("[\x00-\x1f]")
+# Bytes that sort before the space separating a gram's words.
+_BELOW_SPACE = re.compile(b"[\x00-\x1f]")
 
 
 def write_arpa(model: ArpaModel, out: IO[str]) -> None:
@@ -261,7 +283,10 @@ def write_arpa(model: ArpaModel, out: IO[str]) -> None:
 
     Fields are tab-separated: log10 probability, the space-joined gram,
     and (below the highest order) the log10 backoff weight.  Entries are
-    sorted word by word so output is reproducible.
+    sorted word by word so output is reproducible.  UTF-8 bytes sort in
+    code point order, so the order is that of the words as str.  Each
+    chunk of at most _ARPA_CHUNK entries is formatted as bytes and
+    written decoded.
     """
     out.write("\\data\\\n")
     for n in range(1, model.order + 1):
@@ -269,15 +294,18 @@ def write_arpa(model: ArpaModel, out: IO[str]) -> None:
     for n in range(1, model.order + 1):
         table = model.tables[n - 1]
         out.write(f"\n\\{n}-grams:\n")
-        # Gram strings sort as their word tuples unless some word holds a
-        # character that sorts before the separating space.
-        key = (lambda g: g.split(" ")) if any(map(_BELOW_SPACE.search, table)) else None
-        for gram in sorted(table, key=key):
-            entry = table[gram]
+        # Grams sort as their word tuples unless some word holds a byte
+        # that sorts before the separating space.
+        key = (lambda g: g.split(b" ")) if any(map(_BELOW_SPACE.search, table)) else None
+        grams = sorted(table, key=key)
+        for start in range(0, len(grams), _ARPA_CHUNK):
+            chunk = grams[start : start + _ARPA_CHUNK]
+            entries = zip(chunk, map(table.__getitem__, chunk))
             if n < model.order:
-                out.write(f"{entry.real:.10f}\t{gram}\t{entry.imag:.10f}\n")
+                lines = [b"%.10f\t%s\t%.10f\n" % (e.real, g, e.imag) for g, e in entries]
             else:
-                out.write(f"{entry.real:.10f}\t{gram}\n")
+                lines = [b"%.10f\t%s\n" % (e.real, g) for g, e in entries]
+            out.write(b"".join(lines).decode(*_ENCODING))
     out.write("\n\\end\\\n")
 
 
@@ -305,43 +333,44 @@ def _integer(field: str) -> int:
     return int(field)
 
 
-# Lines of a section parsed as one block: this bounds the working lists
-# read_arpa holds beside the model.
+# Lines of a section read or written as one block: this bounds the
+# working lists read_arpa and write_arpa hold beside the model.
 _ARPA_CHUNK = 1024
 
 
-def _parse_block(block: list[str], n: int, table: dict[str, complex]) -> bool:
+def _parse_block(block: list[str], n: int, table: dict[bytes, complex]) -> bool:
     """Add the entries of a non-empty block of order-n entry lines to
     table and return True, or return False and leave table as it was.
 
-    Each step works on the whole block.  False means some line is not an
-    entry, may be malformed, or has a field count other lines do not
-    share; the caller then parses the block line by line, which reports
-    the first bad line or accepts a block mixing 2- and 3-field lines.
+    Each step works on the whole block, whose fields are encoded once.
+    False means some line is not an entry, may be malformed, or has a
+    field count other lines do not share; the caller then parses the
+    block line by line, which reports the first bad line or accepts a
+    block mixing 2- and 3-field lines.
     """
     rows = list(map(str.rstrip, block, repeat("\n")))
     tabs = set(map(str.count, rows, repeat("\t")))
     if tabs != {1} and tabs != {2}:
         return False
     width = tabs.pop() + 1
-    fields = "\t".join(rows).split("\t")
+    fields = "\t".join(rows).encode(*_ENCODING).split(b"\t")
     grams = fields[1::width]
-    if set(map(str.count, grams, repeat(" "))) != {n - 1}:
+    if set(map(bytes.count, grams, repeat(b" "))) != {n - 1}:
         return False
     # With n - 1 spaces in each gram, an empty word shows as a doubled
     # space or a space at either end of the joined grams.
-    joined = " ".join(grams)
-    if not joined or joined[0] == " " or joined[-1] == " " or "  " in joined:
+    joined = b" ".join(grams)
+    if not joined or joined.startswith(b" ") or joined.endswith(b" ") or b"  " in joined:
         return False
-    # float() also takes "1_0", non-ASCII digits, "nan", "inf" and
-    # "1e999" (as inf).  Number fields that are ASCII and hold no "_" are
-    # decimals, NaN or infinities, or fail float(); a finite sum leaves
-    # none of the latter two.  A doubtful block goes to the line path,
-    # which decides.
+    # float() also takes "1_0", "nan", "inf" and "1e999" (as inf); on
+    # bytes it strips no "\x1c" to "\x1f", so such a field fails here.
+    # Number fields that are ASCII and hold no "_" are decimals, NaN or
+    # infinities, or fail float(); a finite sum leaves none of the latter
+    # two.  A doubtful block goes to the line path, which decides.
     logp_fields = fields[0::width]
     logbo_fields = fields[2::width] if width == 3 else []
-    numbers = "".join(logp_fields) + "".join(logbo_fields)
-    if not numbers.isascii() or "_" in numbers:
+    numbers = b"".join(logp_fields) + b"".join(logbo_fields)
+    if not numbers.isascii() or b"_" in numbers:
         return False
     try:
         logps = list(map(float, logp_fields))
@@ -358,14 +387,16 @@ def read_arpa(lines: Iterable[str]) -> ArpaModel:
     """Parse a textual ARPA model.
 
     Every number of an entry is a finite decimal in ASCII digits (see
-    _decimal); section numbers and counts are ASCII digits alone.  The lines after a section header, as many as the header
-    declared, are parsed in blocks of at most _ARPA_CHUNK lines (see
-    _parse_block); from the first block that does not parse whole on,
-    the file is read line by line instead, so errors and their line
-    numbers are those of a plain line-by-line reader.
+    _decimal); section numbers and counts are ASCII digits alone.  The
+    lines after a section header, as many as the header declared, are
+    parsed in blocks of at most _ARPA_CHUNK lines (see _parse_block);
+    from the first block that does not parse whole on, the file is read
+    line by line instead, so errors and their line numbers are those of
+    a plain line-by-line reader.  Both paths key each gram by its UTF-8
+    bytes.
     """
     declared: list[int] = []
-    tables: list[dict[str, complex]] = []
+    tables: list[dict[bytes, complex]] = []
     section = 0  # 0: preamble, 1: \data\, 2: n-gram sections
     current = -1
     saw_end = False
@@ -426,7 +457,7 @@ def read_arpa(lines: Iterable[str]) -> ArpaModel:
             words = fields[1].split(" ")
             if len(words) != current or any(not w for w in words):
                 raise MalformedArpa(line_no, f"gram does not match section order: {fields[1]!r}")
-            tables[current - 1][fields[1]] = complex(logp, logbo)
+            tables[current - 1][fields[1].encode(*_ENCODING)] = complex(logp, logbo)
             continue
         raise MalformedArpa(line_no, f"unexpected line: {line!r}")
 
@@ -445,7 +476,7 @@ def read_arpa(lines: Iterable[str]) -> ArpaModel:
 
 def _mapped_forms(model: ArpaModel, sentence: Sentence) -> list[str]:
     vocab = model.tables[0]
-    return [t.form if t.form in vocab else UNK for t in sentence.tokens]
+    return [t.form if t.form.encode(*_ENCODING) in vocab else UNK for t in sentence.tokens]
 
 
 def logprob(model: ArpaModel, sentence: Sentence) -> float:

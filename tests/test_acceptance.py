@@ -378,7 +378,7 @@ def test_criterion_7_language_model(synth_lexicon):
     contexts = {()}
     for n in range(2, order + 1):
         for gram in model.tables[n - 1]:
-            contexts.add(tuple(gram.split(" "))[:-1])
+            contexts.add(tuple(gram.decode().split(" "))[:-1])
     query_vocab = [w for w in model.vocab if w != SOS]
     worst_sum_error = 0.0
     for context in contexts:

@@ -525,7 +525,7 @@ class TestLiteralSos:
         assert all(line.startswith("warning: ") for line in stderr.splitlines()), stderr
         model = read_arpa(io.StringIO(stdout))
         assert model.order == int(order)
-        assert "are <s>" in model.tables[1]
+        assert b"are <s>" in model.tables[1]
 
 
 class TestOutputFile:

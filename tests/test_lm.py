@@ -58,13 +58,13 @@ def train(texts, order, discounts=None):
 class TestCounting:
     def test_bigram_padding(self):
         counts = count_ngrams([sent("a b")], 2)
-        assert counts.raw(1) == {"<s>": 1, "a": 1, "b": 1, "</s>": 1}
-        assert counts.raw(2) == {"<s> a": 1, "a b": 1, "b </s>": 1}
+        assert counts.raw(1) == {b"<s>": 1, b"a": 1, b"b": 1, b"</s>": 1}
+        assert counts.raw(2) == {b"<s> a": 1, b"a b": 1, b"b </s>": 1}
 
     def test_trigram_padding_doubles_sos(self):
         counts = count_ngrams([sent("a")], 3)
-        assert counts.raw(3) == {"<s> <s> a": 1, "<s> a </s>": 1}
-        assert counts.raw(2)["<s> <s>"] == 1
+        assert counts.raw(3) == {b"<s> <s> a": 1, b"<s> a </s>": 1}
+        assert counts.raw(2)[b"<s> <s>"] == 1
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -78,7 +78,7 @@ class TestCounting:
             for words in texts:
                 padded = [SOS] * (order - 1) + words + [EOS]
                 expect.update(tuple(padded[i : i + n]) for i in range(len(padded) - n + 1))
-            assert counts.raw(n) == {" ".join(gram): c for gram, c in expect.items()}
+            assert counts.raw(n) == {" ".join(gram).encode(): c for gram, c in expect.items()}
 
 
 class TestTraining:
@@ -168,10 +168,10 @@ class TestTraining:
         # <s> ("are <s>"); they get dummy entries to hold their backoff.
         texts = ["Ana are <s> mere .", "el are <s> <s> pere", "Ana are mere <s>", "<s> el are mere ."]
         model = train(texts, order)
-        assert model.tables[1]["are <s>"].real == lm.DUMMY_LOGPROB
+        assert model.tables[1][b"are <s>"].real == lm.DUMMY_LOGPROB
         contexts = {()}
         for n in range(2, order + 1):
-            contexts.update(tuple(gram.split(" "))[:-1] for gram in model.tables[n - 1])
+            contexts.update(tuple(gram.decode().split(" "))[:-1] for gram in model.tables[n - 1])
         assert ("are", SOS) in contexts
         words = [w for w in model.vocab if w != SOS]
         for context in contexts:
@@ -238,6 +238,7 @@ def arpa_models(draw):
     tables = []
     for n in range(1, order + 1):
         grams = draw(st.lists(st.lists(ROUND_TRIP_WORDS, min_size=n, max_size=n).map(" ".join), unique=True))
+        grams = [gram.encode() for gram in grams]
         backoffs = ROUND_TRIP_NUMBERS if n < order else st.just(0.0)
         tables.append({gram: complex(draw(ROUND_TRIP_NUMBERS), draw(backoffs)) for gram in grams})
     return ArpaModel(order=order, tables=tuple(tables))
@@ -337,6 +338,89 @@ class TestArpaIO:
         assert model.word_logprob("zz", ()) == pytest.approx(-0.7)
 
 
+# Token forms only the Python API can make: a lone surrogate ("a\ud800",
+# "\udfffb") and a surrogate pair as two code points ("\ud83d\ude00"),
+# which is not the character it would pair to; beside them U+E000, the
+# first code point above the surrogates, and characters outside the BMP.
+# Each maps to one key and back, and sorts in code point order.
+EDGE_CORPUS = ["a\ud800 \U0001f600 \u0219", "\ud83d\ude00 \U0001f600 a\ud800", "\u0219 \udfffb \ue000 \U0001f600"]
+EDGE_ARPA = (
+    "\\data\\\n"
+    "ngram 1=9\n"
+    "ngram 2=14\n"
+    "ngram 3=13\n"
+    "\n"
+    "\\1-grams:\n"
+    "-0.6989700043\t</s>\t0.0000000000\n"
+    "-99.0000000000\t<s>\t-0.3979400087\n"
+    "-0.6667853210\t<unk>\t0.0000000000\n"
+    "-0.9098233697\ta\ud800\t-0.3979400087\n"
+    "-0.9098233697\t\u0219\t-0.3979400087\n"
+    "-1.3357921019\t\ud83d\ude00\t-0.3979400087\n"
+    "-1.3357921019\t\udfffb\t-0.3979400087\n"
+    "-1.3357921019\t\ue000\t-0.3979400087\n"
+    "-0.6989700043\t\U0001f600\t-0.3979400087\n"
+    "\n"
+    "\\2-grams:\n"
+    "-99.0000000000\t<s> <s>\t-0.3979400087\n"
+    "-0.6033983421\t<s> a\ud800\t-0.3979400087\n"
+    "-0.6033983421\t<s> \u0219\t-0.3979400087\n"
+    "-0.6606250123\t<s> \ud83d\ude00\t-0.3979400087\n"
+    "-0.4202164034\ta\ud800 </s>\t0.0000000000\n"
+    "-0.4202164034\ta\ud800 \U0001f600\t-0.3979400087\n"
+    "-0.4202164034\t\u0219 </s>\t0.0000000000\n"
+    "-0.4969430112\t\u0219 \udfffb\t-0.3979400087\n"
+    "-0.1674910873\t\ud83d\ude00 \U0001f600\t-0.3979400087\n"
+    "-0.2086873036\t\udfffb \ue000\t-0.3979400087\n"
+    "-0.1674910873\t\ue000 \U0001f600\t-0.3979400087\n"
+    "-0.5528419687\t\U0001f600 </s>\t0.0000000000\n"
+    "-0.6033983421\t\U0001f600 a\ud800\t-0.3979400087\n"
+    "-0.6033983421\t\U0001f600 \u0219\t-0.3979400087\n"
+    "\n"
+    "\\3-grams:\n"
+    "-0.5233244041\t<s> <s> a\ud800\n"
+    "-0.5233244041\t<s> <s> \u0219\n"
+    "-0.5415364847\t<s> <s> \ud83d\ude00\n"
+    "-0.1237821594\t<s> a\ud800 \U0001f600\n"
+    "-0.1382358888\t<s> \u0219 \udfffb\n"
+    "-0.0594835151\t<s> \ud83d\ude00 \U0001f600\n"
+    "-0.1550929006\ta\ud800 \U0001f600 \u0219\n"
+    "-0.0719194251\t\u0219 \udfffb \ue000\n"
+    "-0.1550929006\t\ud83d\ude00 \U0001f600 a\ud800\n"
+    "-0.0594835151\t\udfffb \ue000 \U0001f600\n"
+    "-0.1475200064\t\ue000 \U0001f600 </s>\n"
+    "-0.1237821594\t\U0001f600 a\ud800 </s>\n"
+    "-0.1237821594\t\U0001f600 \u0219 </s>\n"
+    "\n"
+    "\\end\\\n"
+)
+
+
+class TestEncodingEdge:
+    def test_same_arpa_scores_and_unk_mapping(self):
+        model = train(EDGE_CORPUS, 3, discounts=0.4)
+        buf = io.StringIO()
+        write_arpa(model, buf)
+        assert buf.getvalue() == EDGE_ARPA
+        assert sorted(model.vocab) == [
+            "</s>", "<s>", "<unk>", "a\ud800", "\u0219", "\ud83d\ude00", "\udfffb", "\ue000", "\U0001f600"
+        ]
+        back = read_arpa(io.StringIO(EDGE_ARPA))
+        again = io.StringIO()
+        write_arpa(back, again)
+        assert again.getvalue() == EDGE_ARPA
+        queries = ["a\ud800 \U0001f600", "\ud83d\ude00 \u0219 \udfffb", "\udbff \U0001f601 \ue000"]
+        assert [lm._mapped_forms(model, sent(q)) for q in queries] == [
+            ["a\ud800", "\U0001f600"], ["\ud83d\ude00", "\u0219", "\udfffb"], [UNK, UNK, "\ue000"]
+        ]
+        assert [logprob(model, sent(q)) for q in queries] == [
+            -1.5978885408384351, -4.2390329046098, -4.562152774204559
+        ]
+        assert [logprob(back, sent(q)) for q in queries] == [
+            -1.5978885409, -4.2390329047, -4.562152774299999
+        ]
+
+
 # ARPA-like texts: a header and sections as write_arpa lays them out,
 # with duplicate grams, and now and then a miscounted header, a 2- or
 # 3-field line among the other kind, an empty word (a doubled or edge
@@ -407,14 +491,14 @@ def arpa_texts(draw):
 
 
 def _arpa_outcome(reader, lines):
-    """A model as (order, per-order item lists with space-joined keys),
-    or a parse error as its message."""
+    """A model as (order, per-order item lists with the UTF-8 bytes of
+    space-joined keys), or a parse error as its message."""
     try:
         model = reader(lines)
     except MalformedArpa as exc:
         return str(exc)
     return model.order, [
-        [(gram if isinstance(gram, str) else " ".join(gram), value) for gram, value in table.items()]
+        [(gram if isinstance(gram, bytes) else " ".join(gram).encode(), value) for gram, value in table.items()]
         for table in model.tables
     ]
 
@@ -495,6 +579,27 @@ class TestReadArpaMemory:
             tracemalloc.stop()
         assert sum(map(len, loaded.tables)) >= 20_000
         assert peak <= 1.25 * size, (peak, size)
+
+    def test_model_holds_at_most_120_bytes_per_gram(self):
+        # Each gram is keyed by its UTF-8 bytes: most of these grams hold
+        # a word with a letter above U+00FF, which as a str would take 2
+        # bytes a character.  Keyed by str, this model reads 137.6 bytes
+        # a gram; keyed by bytes, 110.3.
+        texts = make_clean_lines(1500, make_words(2000), seed=8)
+        model = train(texts, 5)
+        buf = io.StringIO()
+        write_arpa(model, buf)
+        source = io.StringIO(buf.getvalue())
+        del model, buf
+        tracemalloc.start()
+        try:
+            loaded = read_arpa(source)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        grams = sum(map(len, loaded.tables))
+        assert grams >= 80_000
+        assert size <= 120 * grams, (size, grams)
 
 
 class TestTrainingMemory:
