@@ -268,14 +268,11 @@ def cmd_synth(args) -> int:
 def cmd_lm_train(args) -> int:
     from gectools import lm as lm_mod
 
-    with _open_in(args.input) as fh:
-        counts = lm_mod.count_ngrams(_sentences(fh), args.order)
-    with warnings.catch_warnings(record=True) as caught:
+    # Counted and trained in one call: the model is estimated in the
+    # count dicts themselves, which this command holds nowhere else.
+    with _open_in(args.input) as fh, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateCounts)
-        model = lm_mod.train_kneser_ney(counts, discounts=args.discount)
-    # The model's tables share the counts' bytes keys, so dropping the
-    # counts frees only the count dicts and their ints before writing.
-    del counts
+        model = lm_mod._count_and_train(_sentences(fh), args.order, discounts=args.discount)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     with _open_out(args.output) as out:
@@ -306,11 +303,12 @@ def cmd_rerank(args) -> int:
 
     with _open_in(args.model) as fh:
         model = lm_mod.read_arpa(fh)
-    with _open_in(args.nbest) as fh:
-        groups = lm_mod.read_nbest(fh)
     cfg = lm_mod.RerankConfig(lm_weight=args.lm_weight, length_normalize=args.length_normalize)
-    with _open_out(args.output) as out:
-        for group in groups:
+    # Each group is reranked as soon as it is read, so the n-best file is
+    # never held whole and an error in a group comes after the output of
+    # the groups before it.
+    with _open_in(args.nbest) as fh, _open_out(args.output) as out:
+        for group in lm_mod._iter_nbest(fh):
             best = lm_mod.rerank(group, model, cfg)
             out.write(render(best.sentence) + "\n")
     return 0

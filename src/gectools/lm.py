@@ -31,14 +31,21 @@ sorted text.  The query API stays str: ArpaModel.vocab and word_logprob
 take and give str words, and read_arpa and write_arpa read and write
 text.
 
-Training estimates one order at a time, so beside the counts and the
-model it holds only that order's adjusted counts and sorted gram list.
-No gram is held twice: the continuation counts are keyed by the order's
-own raw-count keys, and the highest order is read in place from its raw
-counts.  Training walks the sorted grams, where the grams of one context
-form one run, and finishes each run before the next, so it keeps no
+Training writes the model into the count dicts themselves: each
+order's entries overwrite its raw counts once that order's adjusted
+counts exist.  train_kneser_ney does so in shallow copies, so its
+caller's counts stay as they were; lm-train's counts are held nowhere
+else and are trained in place.  Beside those tables training holds only
+one order's adjusted counts and sorted gram list.  No gram is held
+twice: the continuation counts are keyed by the order's own raw-count
+keys, and the highest order is read in place from its raw counts.
+count_ngrams inserts each order's grams in sorted order and the model
+keeps it, so the sorts of training and write_arpa get sorted input.
+Training walks the sorted grams, where the grams of one context form
+one run, and finishes each run before the next, so it keeps no
 per-context tables.  Reading and writing hold a bounded chunk of lines
-beside the model.
+beside the model, and the rerank command reads an n-best file one group
+at a time.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, groupby, islice, repeat
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from gectools.errors import DegenerateCounts, EmptyInput, MalformedArpa, MalformedLine, NoFiniteScore
 from gectools.text import ASCII_DIGITS, Sentence, Token
@@ -71,11 +78,12 @@ FALLBACK_DISCOUNT = 0.75
 class NgramCounts:
     """Raw n-gram counts for every order up to `order`.
 
-    counts[n-1] maps each n-gram, written as the UTF-8 bytes of its
-    words joined by single spaces like the keys of ArpaModel.tables
-    (b"<s> fata merge"), to its count.  Words contain no space.  Bytes
-    keys take about half the memory of str keys for Romanian text (see
-    the module docstring).
+    counts[n-1] is a plain dict that maps each n-gram, written as the
+    UTF-8 bytes of its words joined by single spaces like the keys of
+    ArpaModel.tables (b"<s> fata merge"), to its count.  count_ngrams
+    inserts the grams in sorted bytes order, so each dict iterates
+    sorted.  Words contain no space.  Bytes keys take about half the
+    memory of str keys for Romanian text (see the module docstring).
     """
 
     order: int
@@ -89,7 +97,7 @@ def count_ngrams(sentences: Iterable[Sentence], order: int) -> NgramCounts:
     """Count n-grams of all orders 1..order over a sentence stream."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    counts = tuple(Counter() for _ in range(order))
+    counts = [Counter() for _ in range(order)]
     pad = [_SOS] * (order - 1)
     for sentence in sentences:
         words = pad + [t.form.encode(*_ENCODING) for t in sentence.tokens] + [_EOS]
@@ -99,7 +107,12 @@ def count_ngrams(sentences: Iterable[Sentence], order: int) -> NgramCounts:
         for n in range(2, order + 1):
             grams = list(map(b" ".join, zip(grams, words[n - 1 :])))
             counts[n - 1].update(grams)
-    return NgramCounts(order=order, counts=counts)
+    # One sort per order: a model estimated in these dicts keeps their
+    # order, so training's and write_arpa's sorts get sorted input.  Each
+    # Counter is freed before the next order's dict is built.
+    for n, counter in enumerate(counts):
+        counts[n] = {gram: counter[gram] for gram in sorted(counter)}
+    return NgramCounts(order=order, counts=tuple(counts))
 
 
 def _adjusted_counts(counts: NgramCounts, n: int) -> tuple[dict[bytes, int], list[bytes]]:
@@ -125,7 +138,8 @@ def _adjusted_counts(counts: NgramCounts, n: int) -> tuple[dict[bytes, int], lis
         adjusted = Counter(dict.fromkeys(raw, 0))
         adjusted.update(gram[gram.find(b" ") + 1 :] for gram in counts.raw(n + 1))
         # Grams starting with <s> keep their raw counts, in place of the
-        # continuation counts just tallied.
+        # continuation counts just tallied.  (The all-<s> grams hold
+        # their dummy entries by now; they end in <s>, so no gram below.)
         for gram, c in raw.items():
             if gram.startswith(sos_first):
                 adjusted[gram] = c
@@ -200,6 +214,30 @@ def train_kneser_ney(
     each must lie strictly between 0 and 1.  When omitted, each order's
     discount is estimated from its count-of-counts, falling back to 0.75
     (with a DegenerateCounts warning) when the statistics are too sparse.
+    counts is left as it was: the model is estimated in shallow copies
+    of its dicts, which become the model's tables.
+    """
+    return _estimate(NgramCounts(counts.order, tuple(map(dict, counts.counts))), discounts)
+
+
+def _count_and_train(
+    sentences: Iterable[Sentence], order: int, discounts: float | Sequence[float] | None = None
+) -> ArpaModel:
+    """train_kneser_ney(count_ngrams(sentences, order), discounts), with
+    the model estimated in the count dicts themselves: nothing else holds
+    them, so they need no copy."""
+    return _estimate(count_ngrams(sentences, order), discounts)
+
+
+def _estimate(counts: NgramCounts, discounts: float | Sequence[float] | None) -> ArpaModel:
+    """train_kneser_ney, writing the model into the dicts of counts.
+
+    Each order's entries overwrite its raw counts once that order's
+    adjusted counts exist; below the highest order those are built from
+    the next order's raw counts, which are still counts then.  A key
+    that ends up holding no model entry, such as a highest-order gram
+    ending in a literal <s> word, still holds an int at the end and is
+    deleted.
     """
     order = counts.order
     adjusted, grams = _adjusted_counts(counts, 1)
@@ -218,10 +256,11 @@ def train_kneser_ney(
             if not 0.0 < d < 1.0:
                 raise ValueError(f"discount must lie strictly between 0 and 1, got {d}")
 
-    tables: list[dict[bytes, complex]] = [dict() for _ in range(order)]
+    tables: tuple[dict[bytes, complex | int], ...] = counts.counts
     # Dummy entries for the all-<s> grams, which the padding of any
     # sentence holds, so they can carry backoff weights; and the <s>
-    # unigram itself even in a unigram model.
+    # unigram itself even in a unigram model.  Grams ending in <s> are
+    # never estimated, so no order's adjusted counts need these counts.
     for n in range(1, max(order, 2)):
         tables[n - 1][b" ".join([_SOS] * n)] = complex(DUMMY_LOGPROB, 0.0)
 
@@ -238,7 +277,10 @@ def train_kneser_ney(
     for n in range(2, order + 1):
         _estimate_order(*_adjusted_counts(counts, n), n, ds[n - 1], tables[n - 2], tables[n - 1])
 
-    return ArpaModel(order=order, tables=tuple(tables))
+    for table in tables:
+        for gram in [gram for gram, entry in table.items() if type(entry) is not complex]:
+            del table[gram]
+    return ArpaModel(order=order, tables=tables)
 
 
 def _estimate_order(
@@ -246,15 +288,17 @@ def _estimate_order(
     grams: list[bytes],
     n: int,
     dn: float | None,
-    lower: dict[bytes, complex],
-    table: dict[bytes, complex],
+    lower: dict[bytes, complex | int],
+    table: dict[bytes, complex | int],
 ) -> None:
-    """Fill table with order n's entries and put its backoff weights on
-    their contexts in lower, the finished table of order n - 1.
+    """Write order n's entries into table and put its backoff weights on
+    their contexts in lower, whose order n - 1 entries are finished.
 
     grams is the sorted list of the grams that have an adjusted count.
     The grams of one context all start with b"context ", so they form one
     run: each run is summed, weighted and written before the next is read.
+    In lower, an entry that is not complex is a leftover raw count and
+    counts as missing.
     """
     if dn is None:
         dn = _estimate_discount(adjusted, grams, n)
@@ -271,7 +315,7 @@ def _estimate_order(
         # A context ending in a literal <s> word of the text has no entry
         # of its own: it gets a dummy one to carry its backoff weight.
         entry = lower.get(ctx)
-        lower[ctx] = complex(DUMMY_LOGPROB if entry is None else entry.real, math.log10(gamma))
+        lower[ctx] = complex(entry.real if type(entry) is complex else DUMMY_LOGPROB, math.log10(gamma))
 
 
 # Bytes that sort before the space separating a gram's words.
@@ -556,13 +600,19 @@ def read_nbest(lines: Iterable[str]) -> list[list[Hypothesis]]:
     tokenized already).  A score is a finite decimal number in ASCII
     digits, with optional sign, point and exponent.
     """
-    groups: list[list[Hypothesis]] = []
+    return list(_iter_nbest(lines))
+
+
+def _iter_nbest(lines: Iterable[str]) -> Iterator[list[Hypothesis]]:
+    """read_nbest's groups, each yielded as soon as the blank line (or the
+    end of lines) that ends it is read, so a caller can finish a group
+    before the next one is parsed."""
     current: list[Hypothesis] = []
     for line_no, raw_line in enumerate(lines, start=1):
         line = raw_line.rstrip("\n")
         if not line.strip():
             if current:
-                groups.append(current)
+                yield current
                 current = []
             continue
         text, sep, score_str = line.rpartition("\t")
@@ -574,5 +624,4 @@ def read_nbest(lines: Iterable[str]) -> list[list[Hypothesis]]:
         tokens = tuple(Token(f) for f in text.split())
         current.append(Hypothesis(sentence=Sentence(tokens), model_score=score))
     if current:
-        groups.append(current)
-    return groups
+        yield current

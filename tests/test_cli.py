@@ -565,6 +565,37 @@ class TestOutputFile:
         assert len(stdout.splitlines()) == 1
 
 
+# Two groups, then a line with no score in group 3 (line 6).
+NBEST_BAD_GROUP_3 = "Ana .\t0\n\n. Ana\t0\nAna\t-1\n\nAna\n"
+
+
+class TestRerankStreams:
+    """rerank reranks each n-best group as soon as it is read."""
+
+    def test_failed_run_keeps_earlier_output(self, tmp_path):
+        paths = write_files(tmp_path, {"m.arpa": MODEL, "nb.txt": NBEST_BAD_GROUP_3})
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"earlier\n")
+        assert main(["rerank", paths["m.arpa"], paths["nb.txt"], "-o", str(out)]) == 1
+        assert out.read_bytes() == b"earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*paths, "out.txt"])
+
+    def test_groups_before_a_bad_line_are_printed(self, tmp_path):
+        returncode, stdout, stderr = run_cli(
+            tmp_path, {"m.arpa": MODEL, "nb.txt": NBEST_BAD_GROUP_3}, ["rerank", "m.arpa", "nb.txt"]
+        )
+        assert stdout == "Ana .\n. Ana\n"
+        assert_one_error_line(returncode, stderr, 1, "nb.txt: line 6: expected 'sentence<TAB>score'")
+
+    def test_no_finite_score_comes_before_a_later_parse_error(self, tmp_path):
+        # Every combined score of group 1 overflows: -5 per <unk> token
+        # times 1e308.  Group 1 is reranked before group 3 is read.
+        files = {"m.arpa": MODEL.replace("-0.9\t<unk>", "-5\t<unk>"), "nb.txt": "x y\t0\nz\t0\n\nAna .\t0\n\nAna\n"}
+        returncode, stdout, stderr = run_cli(tmp_path, files, ["rerank", "m.arpa", "nb.txt", "--lm-weight", "1e308"])
+        assert stdout == ""
+        assert_one_error_line(returncode, stderr, 1, "error: none of 2 hypotheses has a finite combined score")
+
+
 class TestEntryPoint:
     def test_console_script_runs(self):
         result = subprocess.run(

@@ -1,11 +1,14 @@
 """Kneser-Ney training, ARPA round-trips, querying, and re-ranking."""
 
+import contextlib
 import copy
 import io
 import math
+import tempfile
 import tracemalloc
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +42,7 @@ from gectools.lm import (
     write_arpa,
 )
 from gectools.m2 import read_m2
-from gectools.text import Sentence, Token, parse_conllu
+from gectools.text import Sentence, Token, parse_conllu, tokenize
 from tests.conftest import DATA, make_clean_lines, make_words
 from tests.oracles import RefKneserNey, ref_read_arpa
 
@@ -623,6 +626,68 @@ class TestTrainingMemory:
         assert peak <= 1.08 * size, (peak, size)
 
 
+class TestCountAndTrainMemory:
+    def test_peak_is_bounded_by_the_model(self):
+        # lm-train's path: the model is estimated in the count dicts,
+        # which nothing else holds, so from before counting on the peak
+        # stays close to the model's size.  Counting, then training on
+        # copies of the counts, peaks at about 1.28 times that size.
+        sentences = [sent(t) for t in make_clean_lines(1500, make_words(2000), seed=8)]
+        tracemalloc.start()
+        try:
+            model = lm._count_and_train(sentences, 5)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, model.tables)) >= 80_000
+        assert peak <= 1.08 * size, (peak, size)
+
+
+# Words of random corpora: literal <s> and </s> words, and words that
+# sort below the space.
+TABLE_WORDS = st.sampled_from(["a", "b", "ă", "<s>", "</s>", "a\x01", "\x02"])
+
+
+class TestTableTypes:
+    def test_counts_are_plain_dicts_in_sorted_order(self):
+        counts = count_ngrams([sent(t) for t in ["b a\x01 c", "<s> ă a", "c b a"]], 4)
+        for table in counts.counts:
+            assert type(table) is dict
+            assert list(table) == sorted(table)
+
+    @pytest.mark.parametrize("path", ["train_kneser_ney", "count_and_train"])
+    def test_model_tables_are_plain_dicts_of_complex(self, path):
+        # A Counter would turn a missing suffix into 0, and its update
+        # counts (gram, entry) pairs instead of storing them.
+        sentences = [sent(t) for t in ["Ana are <s> mere .", "el are mere", "a\x01 are ."]]
+        if path == "train_kneser_ney":
+            model = train_kneser_ney(count_ngrams(sentences, 4))
+        else:
+            model = lm._count_and_train(sentences, 4)
+        for table in model.tables:
+            assert type(table) is dict
+            assert all(type(entry) is complex for entry in table.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lines=st.lists(st.lists(TABLE_WORDS, min_size=1, max_size=6).map(" ".join), min_size=1, max_size=5),
+        order=st.integers(1, 6),
+        discount=st.sampled_from([None, "0.4"]),
+    )
+    def test_library_and_cli_write_the_same_arpa(self, lines, order, discount):
+        text = "".join(line + "\n" for line in lines)
+        expect = io.StringIO()
+        discounts = None if discount is None else float(discount)
+        write_arpa(train_kneser_ney(count_ngrams(map(tokenize, lines), order), discounts), expect)
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus, out = Path(tmp, "corpus.txt"), Path(tmp, "model.arpa")
+            corpus.write_text(text, encoding="utf-8")
+            argv = ["lm-train", str(corpus), "--order", str(order), "-o", str(out)]
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv + (["--discount", discount] if discount else [])) == 0
+            assert out.read_bytes() == expect.getvalue().encode("utf-8")
+
+
 # M2-like texts: S lines, A lines with odd spans, labels, corrections,
 # field counts and annotator ids, noop lines, and stray lines.
 M2_FIELDS = st.sampled_from(["R", "noop", "x", "-NONE-", "", "REQUIRED", "0", "1", " 0", "a|b"])
@@ -790,3 +855,21 @@ class TestReadNbest:
     def test_non_decimal_or_infinite_score_rejected(self, score):
         with pytest.raises(MalformedLine, match="line 2: bad score"):
             read_nbest(io.StringIO(f"a\t0\nb\t{score}\n"))
+
+    def test_read_nbest_reads_every_group(self):
+        # read_nbest returns a list, so an error in a later group is
+        # raised before any group is returned.
+        with pytest.raises(MalformedLine, match="line 5: expected"):
+            read_nbest(io.StringIO("a\t0\n\nb\t0\n\nc\n"))
+
+    def test_group_yielded_before_reading_past_its_blank_line(self):
+        def lines():
+            yield "a b\t-1\n"
+            yield "a c\t-2\n"
+            yield "\n"
+            raise AssertionError("read past the blank line ending group 1")
+
+        groups = lm._iter_nbest(lines())
+        assert [h.model_score for h in next(groups)] == [-1.0, -2.0]
+        with pytest.raises(AssertionError, match="read past"):
+            next(groups)
