@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 
 # Module -> the public names it defines.
 _MODULES = {
-    "align": ("AlignOp", "CostParams", "Edit", "align", "apply_edits", "extract_edits",
-              "merge_ops", "sub_cost"),
+    "align": ("AlignOp", "Edit", "align", "apply_edits", "extract_edits", "merge_ops", "sub_cost"),
     "classify": ("POS_TAGS", "char_overlap_ratio", "classify_all", "classify_edit"),
     "errors": ("DegenerateCounts", "EmptyInput", "EmptySentence", "GecToolsError",
                "LengthMismatch", "MalformedArpa", "MalformedLine", "MalformedM2",

@@ -1,9 +1,11 @@
 """Token-level alignment of original/corrected sentence pairs.
 
 The aligner runs a Damerau-Levenshtein dynamic program over tokens with
-unit insert/delete/transpose costs and a weighted substitution cost that
-blends lemma identity, UPOS identity and normalized character distance.
-Maximal runs of non-match operations are then merged into Edits.
+fixed costs: 1 for an insertion, a deletion or a transposition, and a
+substitution cost that blends lemma identity, UPOS identity and
+normalized character distance with the weights W_LEMMA, W_POS and
+W_CHAR.  Maximal runs of non-match operations are then merged into
+Edits.
 """
 
 from __future__ import annotations
@@ -21,36 +23,14 @@ TRANSPOSE = "transpose"
 DELETE = "delete"
 INSERT = "insert"
 
-# When costs tie, earlier kinds win.
-_PREFERENCE = (MATCH, SUBSTITUTE, TRANSPOSE, DELETE, INSERT)
+# Weights of the substitution cost.  They sum to less than 2, the cost
+# of deleting a token and inserting another, so a substitution can win.
+W_LEMMA = 0.499
+W_POS = 0.25
+W_CHAR = 0.25
 
 
-@dataclass(frozen=True)
-class CostParams:
-    """Weights of the alignment cost model."""
-
-    w_lemma: float = 0.499
-    w_pos: float = 0.25
-    w_char: float = 0.25
-    insert_cost: float = 1.0
-    delete_cost: float = 1.0
-    transpose_cost: float = 1.0
-
-    def __post_init__(self):
-        for name in ("w_lemma", "w_pos", "w_char", "insert_cost", "delete_cost", "transpose_cost"):
-            value = getattr(self, name)
-            if not (0 <= value < math.inf):
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-        # A substitution must never cost more than deleting and
-        # re-inserting the token, or substitutions become unreachable.
-        if self.w_lemma + self.w_pos + self.w_char >= self.insert_cost + self.delete_cost:
-            raise ValueError("substitution weights must sum to less than insert_cost + delete_cost")
-
-
-DEFAULT_COSTS = CostParams()
-
-
-def _annotation_cost(a: Token, b: Token, params: CostParams) -> float:
+def _annotation_cost(a: Token, b: Token) -> float:
     """Lemma and UPOS part of the substitution cost of two different forms."""
     if a.lemma is None or b.lemma is None:
         lemma_term = 0.5
@@ -60,10 +40,10 @@ def _annotation_cost(a: Token, b: Token, params: CostParams) -> float:
         pos_term = 0.5
     else:
         pos_term = 1.0 if a.upos != b.upos else 0.0
-    return params.w_lemma * lemma_term + params.w_pos * pos_term
+    return W_LEMMA * lemma_term + W_POS * pos_term
 
 
-def sub_cost(a: Token, b: Token, params: CostParams = DEFAULT_COSTS) -> float:
+def sub_cost(a: Token, b: Token) -> float:
     """Substitution cost between two tokens.
 
     Identical forms cost 0.  Otherwise each of the lemma and UPOS terms
@@ -76,7 +56,7 @@ def sub_cost(a: Token, b: Token, params: CostParams = DEFAULT_COSTS) -> float:
     if a.form == b.form:
         return 0.0
     char_term = dl_distance(a.form, b.form) / max(len(a.form), len(b.form))
-    return _annotation_cost(a, b, params) + params.w_char * char_term
+    return _annotation_cost(a, b) + W_CHAR * char_term
 
 
 @dataclass(frozen=True)
@@ -95,27 +75,16 @@ class AlignOp:
     c_index: int
 
 
-def _border_steps_exact(cost: float, count: int) -> bool:
-    """True when no border cell k * cost of the alignment table exceeds
-    the cell before it plus cost.
-
-    Matching the common suffix outright relies on this.  It holds for
-    whole-number costs, but float rounding breaks it for some others
-    (6 * 0.1 > 5 * 0.1 + 0.1).
-    """
-    return all(k * cost <= (k - 1) * cost + cost for k in range(2, count + 1))
-
-
-# The first pass fills the diagonals whose indel lower bound is at most
-# this many times the larger indel cost above the least bound.
-_BAND_MARGIN = 3.0
+# The first pass fills the diagonals at most this far outside those
+# between 0 and m - n.
+_FIRST_BAND = 1
 # Relative allowance, per table step, for float rounding in the test
 # that decides a second pass (see align).
 _ROUNDING = 1e-9
 
 
 def _fill(
-    o_toks: tuple[Token, ...], c_toks: tuple[Token, ...], n: int, m: int, width: int, params: CostParams
+    o_toks: tuple[Token, ...], c_toks: tuple[Token, ...], n: int, m: int, width: int
 ) -> tuple[list[list[float]], list[list[str]]]:
     """Cost and operation tables of aligning o_toks[:n] with c_toks[:m].
 
@@ -125,17 +94,15 @@ def _fill(
     lo, hi = min(0, m - n) - width, max(0, m - n) + width
     o_forms = [t.form for t in o_toks[:n]]
     c_forms = [t.form for t in c_toks[:m]]
-    w_char, transpose_cost = params.w_char, params.transpose_cost
-    delete_cost, insert_cost = params.delete_cost, params.insert_cost
 
     dist = [[math.inf] * (m + 1) for _ in range(n + 1)]
     op = [[""] * (m + 1) for _ in range(n + 1)]
     dist[0][0] = 0.0
     for i in range(1, min(n, -lo) + 1):
-        dist[i][0] = i * delete_cost
+        dist[i][0] = float(i)
         op[i][0] = DELETE
     for j in range(1, min(m, hi) + 1):
-        dist[0][j] = j * insert_cost
+        dist[0][j] = float(j)
         op[0][j] = INSERT
 
     for i in range(1, n + 1):
@@ -150,13 +117,13 @@ def _fill(
             else:
                 best_cost, best_kind = math.inf, SUBSTITUTE  # priced below
             if i > 1 and j > 1 and a_form == c_forms[j - 2] and o_forms[i - 2] == b_form:
-                cand = dist[i - 2][j - 2] + transpose_cost
+                cand = dist[i - 2][j - 2] + 1.0
                 if cand < best_cost:
                     best_cost, best_kind = cand, TRANSPOSE
-            cand = prev_row[j] + delete_cost
+            cand = prev_row[j] + 1.0
             if cand < best_cost:
                 best_cost, best_kind = cand, DELETE
-            cand = row[j - 1] + insert_cost
+            cand = row[j - 1] + 1.0
             if cand < best_cost:
                 best_cost, best_kind = cand, INSERT
             # A substitution wins ties with the kinds tried above.
@@ -164,9 +131,9 @@ def _fill(
                 a, b = o_toks[i - 1], c_toks[j - 1]
                 b_len = len(b_form)
                 gap = abs(a_len - b_len) or 1
-                bound = _annotation_cost(a, b, params) + w_char * (gap / max(a_len, b_len))
+                bound = _annotation_cost(a, b) + W_CHAR * (gap / max(a_len, b_len))
                 if diag + bound <= best_cost:
-                    cand = diag + sub_cost(a, b, params)
+                    cand = diag + sub_cost(a, b)
                     if cand <= best_cost:
                         best_cost, best_kind = cand, SUBSTITUTE
             row[j] = best_cost
@@ -174,13 +141,7 @@ def _fill(
     return dist, op
 
 
-def _band_width(quotient: float, full: int) -> int:
-    """A band of quotient diagonals, or the whole table when costs that
-    overflowed to inf leave the quotient inf or NaN."""
-    return min(full, int(quotient)) if math.isfinite(quotient) else full
-
-
-def align(orig: Sentence, corr: Sentence, params: CostParams = DEFAULT_COSTS) -> list[AlignOp]:
+def align(orig: Sentence, corr: Sentence) -> list[AlignOp]:
     """Minimum-cost alignment path between two sentences.
 
     Ties are broken by preferring match > substitute > transpose >
@@ -189,58 +150,51 @@ def align(orig: Sentence, corr: Sentence, params: CostParams = DEFAULT_COSTS) ->
     Three shortcuts leave the path unchanged.  The common suffix is
     matched outright: when the last tokens match, the last cell of the
     table backtraces as a match, so the full table would walk that
-    suffix diagonally too (given _border_steps_exact; otherwise nothing
-    is trimmed).  The prefix is not trimmed: tie-breaks would then pick
-    different tokens, as in ``a -> a a b``, where the table inserts the
-    first ``a``.  sub_cost, with its character distance, is only
-    computed when a lower bound on the substitution does not already
-    lose to transpose, delete or insert: the distance between two
-    different forms is at least 1 and at least their length difference,
-    and float rounding is monotone, so the bound never exceeds the cost
-    it stands for.
+    suffix diagonally too.  The prefix is not trimmed: tie-breaks would
+    then pick different tokens, as in ``a -> a a b``, where the table
+    inserts the first ``a``.  sub_cost, with its character distance, is
+    only computed when a lower bound on the substitution does not
+    already lose to transpose, delete or insert: the distance between
+    two different forms is at least 1 and at least their length
+    difference, and float rounding is monotone, so the bound never
+    exceeds the cost it stands for.
 
     And only a band of the table's diagonals k = j - i is filled
-    (Ukkonen, 1985).  Each step changes k by at most one, inserts
-    raising it and deletes lowering it, and no step costs less than 0.
-    So a path that leaves the diagonals between 0 and d = m - n by e
-    costs at least base + e * (insert + delete), where base is the
-    indels from 0 to d.  The first pass fills the e up to
-    _BAND_MARGIN * max(insert, delete) / (insert + delete), with the
-    cells outside at inf, which only raises values.  Its result U is
-    the cost of a real path, so no optimal path leaves the diagonals
-    by more than e_max = (U - base) / (insert + delete); when e_max
-    exceeds the first width, a second pass fills that wider band.
-    Every cell the full table's backtrace reads as a tie candidate lies
-    on a path of optimal cost, so inside the band it has its exact
-    value, the same kinds tie, and the path is op for op that of the
-    full table.  U and the optimum are float sums of at most n + m
-    steps, so each is within a relative (n + m) * 2**-53 of its real
-    value, and the bounds base and e * (insert + delete) within a few
-    rounding steps of theirs: e_max is taken from U raised by a
-    relative _ROUNDING * (n + m + 1), which covers both many times
-    over.  Costs so large that these sums overflow to inf leave no band
-    to derive, and the whole table is filled.
+    (Ukkonen, 1985).  Each step changes k by at most one, an insert
+    raising it and a delete lowering it, each for a cost of 1, and no
+    step costs less than 0.  So a path that leaves the diagonals
+    between 0 and d = m - n by e costs at least |d| + 2e.  The first
+    pass fills the e up to _FIRST_BAND, with the cells outside at inf,
+    which only raises values.  Its result U is the cost of a real path,
+    so no optimal path leaves the diagonals by more than
+    e_max = (U - |d|) / 2; when e_max exceeds the first width, a second
+    pass fills that wider band.  Every cell the full table's backtrace
+    reads as a tie candidate lies on a path of optimal cost, so inside
+    the band it has its exact value, the same kinds tie, and the path
+    is op for op that of the full table.  |d| and 2e are whole numbers
+    and exact, but substitution costs are not: U and the optimum are
+    float sums of at most n + m steps, so each is within a relative
+    (n + m) * 2**-53 of its real value, and e_max is taken from U raised
+    by a relative _ROUNDING * (n + m + 1), which covers that many times
+    over.  No step costs more than 1, so U is at most n + m and no sum
+    overflows.
     """
     o_toks, c_toks = orig.tokens, corr.tokens
     n, m = len(o_toks), len(c_toks)
     suffix = 0
-    trim = _border_steps_exact(params.delete_cost, n) and _border_steps_exact(params.insert_cost, m)
-    while trim and suffix < min(n, m) and o_toks[n - 1 - suffix].form == c_toks[m - 1 - suffix].form:
+    while suffix < min(n, m) and o_toks[n - 1 - suffix].form == c_toks[m - 1 - suffix].form:
         suffix += 1
     n -= suffix
     m -= suffix
 
-    delete_cost, insert_cost = params.delete_cost, params.insert_cost
-    step = insert_cost + delete_cost
     full = min(n, m)  # a band this wide covers the whole table
-    width = _band_width(_BAND_MARGIN * max(insert_cost, delete_cost) // step, full)
-    dist, op = _fill(o_toks, c_toks, n, m, width, params)
+    width = min(full, _FIRST_BAND)
+    dist, op = _fill(o_toks, c_toks, n, m, width)
     if width < full:
-        base = (m - n) * insert_cost if m >= n else (n - m) * delete_cost
         budget = dist[n][m] * (1 + _ROUNDING * (n + m + 1))
-        needed = _band_width((budget - base) // step, full)
+        needed = min(full, int((budget - abs(m - n)) // 2))
         if needed > width:
-            dist, op = _fill(o_toks, c_toks, n, m, needed, params)
+            dist, op = _fill(o_toks, c_toks, n, m, needed)
 
     path: list[AlignOp] = []
     i, j = n, m
@@ -362,9 +316,9 @@ def merge_ops(ops: list[AlignOp], orig: Sentence, corr: Sentence) -> list[Edit]:
     return merged
 
 
-def extract_edits(orig: Sentence, corr: Sentence, params: CostParams = DEFAULT_COSTS) -> list[Edit]:
+def extract_edits(orig: Sentence, corr: Sentence) -> list[Edit]:
     """Edits that rewrite orig into corr, from the minimum-cost alignment."""
-    return merge_ops(align(orig, corr, params), orig, corr)
+    return merge_ops(align(orig, corr), orig, corr)
 
 
 def apply_edits(sentence: Sentence, edits: list[Edit]) -> Sentence:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from gectools.align import CostParams, DEFAULT_COSTS, Edit, extract_edits
+from gectools.align import Edit, extract_edits
 from gectools.errors import MissingAnnotations
 from gectools.kernels import lcs_length
 from gectools.lexicon import Lexicon
@@ -89,11 +89,7 @@ def classify_edit(edit: Edit, orig: Sentence, corr: Sentence, lexicon: Lexicon) 
     return "OTHER"
 
 
-def classify_all(
-    sentence_pairs: Iterable[tuple[Sentence, Sentence]],
-    lexicon: Lexicon,
-    params: CostParams = DEFAULT_COSTS,
-) -> list[list[Edit]]:
+def classify_all(sentence_pairs: Iterable[tuple[Sentence, Sentence]], lexicon: Lexicon) -> list[list[Edit]]:
     """Extract and classify the edits of every sentence pair.
 
     MissingAnnotations raised for a pair is re-raised with the pair's
@@ -102,7 +98,7 @@ def classify_all(
     results: list[list[Edit]] = []
     for index, (orig, corr) in enumerate(sentence_pairs):
         typed: list[Edit] = []
-        for edit in extract_edits(orig, corr, params):
+        for edit in extract_edits(orig, corr):
             try:
                 label = classify_edit(edit, orig, corr, lexicon)
             except MissingAnnotations as exc:

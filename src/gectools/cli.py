@@ -268,11 +268,10 @@ def cmd_synth(args) -> int:
 def cmd_lm_train(args) -> int:
     from gectools import lm as lm_mod
 
-    # Counted and trained in one call: the model is estimated in the
-    # count dicts themselves, which this command holds nowhere else.
     with _open_in(args.input) as fh, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateCounts)
-        model = lm_mod._count_and_train(_sentences(fh), args.order, discounts=args.discount)
+        counts = lm_mod.count_ngrams(_sentences(fh), args.order)
+        model = lm_mod.train_kneser_ney(counts, discounts=args.discount)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     with _open_out(args.output) as out:
@@ -308,7 +307,7 @@ def cmd_rerank(args) -> int:
     # never held whole and an error in a group comes after the output of
     # the groups before it.
     with _open_in(args.nbest) as fh, _open_out(args.output) as out:
-        for group in lm_mod._iter_nbest(fh):
+        for group in lm_mod.read_nbest(fh):
             best = lm_mod.rerank(group, model, cfg)
             out.write(render(best.sentence) + "\n")
     return 0

@@ -47,17 +47,12 @@ def _distances(word: str, candidates: Iterable[str]) -> Iterator[int]:
         yield score
 
 
-def dl_distance(a: str, b: str, cutoff: int = -1) -> int:
+def dl_distance(a: str, b: str) -> int:
     """Restricted Damerau-Levenshtein distance between two strings.
 
     Unit costs for insertion, deletion, substitution and transposition of
-    adjacent characters.  With cutoff >= 0, strings whose lengths differ
-    by more than cutoff are not compared and cutoff + 1 comes back; any
-    return value greater than cutoff only means the true distance exceeds
-    cutoff.  Every other result is exact.
+    adjacent characters.
     """
-    if cutoff >= 0 and abs(len(a) - len(b)) > cutoff:
-        return cutoff + 1
     return next(_distances(a, (b,)))
 
 

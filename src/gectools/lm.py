@@ -31,21 +31,20 @@ sorted text.  The query API stays str: ArpaModel.vocab and word_logprob
 take and give str words, and read_arpa and write_arpa read and write
 text.
 
-Training writes the model into the count dicts themselves: each
-order's entries overwrite its raw counts once that order's adjusted
-counts exist.  train_kneser_ney does so in shallow copies, so its
-caller's counts stay as they were; lm-train's counts are held nowhere
-else and are trained in place.  Beside those tables training holds only
-one order's adjusted counts and sorted gram list.  No gram is held
-twice: the continuation counts are keyed by the order's own raw-count
-keys, and the highest order is read in place from its raw counts.
+train_kneser_ney writes the model into the count dicts themselves,
+which become the model's tables: each order's entries overwrite its raw
+counts once that order's adjusted counts exist, so training consumes
+its counts.  Beside those tables training holds only one order's
+adjusted counts and sorted gram list.  No gram is held twice: the
+continuation counts are keyed by the order's own raw-count keys, and
+the highest order is read in place from its raw counts.
 count_ngrams inserts each order's grams in sorted order and the model
 keeps it, so the sorts of training and write_arpa get sorted input.
 Training walks the sorted grams, where the grams of one context form
 one run, and finishes each run before the next, so it keeps no
 per-context tables.  Reading and writing hold a bounded chunk of lines
-beside the model, and the rerank command reads an n-best file one group
-at a time.
+beside the model, and read_nbest yields an n-best file one group at a
+time.
 """
 
 from __future__ import annotations
@@ -208,36 +207,21 @@ class ArpaModel:
 def train_kneser_ney(
     counts: NgramCounts, discounts: float | Sequence[float] | None = None
 ) -> ArpaModel:
-    """Estimate an interpolated Kneser-Ney model from counts.
+    """Estimate an interpolated Kneser-Ney model from counts, consuming them.
 
     discounts may be a single value for all orders or one per order;
     each must lie strictly between 0 and 1.  When omitted, each order's
     discount is estimated from its count-of-counts, falling back to 0.75
     (with a DegenerateCounts warning) when the statistics are too sparse.
-    counts is left as it was: the model is estimated in shallow copies
-    of its dicts, which become the model's tables.
-    """
-    return _estimate(NgramCounts(counts.order, tuple(map(dict, counts.counts))), discounts)
 
-
-def _count_and_train(
-    sentences: Iterable[Sentence], order: int, discounts: float | Sequence[float] | None = None
-) -> ArpaModel:
-    """train_kneser_ney(count_ngrams(sentences, order), discounts), with
-    the model estimated in the count dicts themselves: nothing else holds
-    them, so they need no copy."""
-    return _estimate(count_ngrams(sentences, order), discounts)
-
-
-def _estimate(counts: NgramCounts, discounts: float | Sequence[float] | None) -> ArpaModel:
-    """train_kneser_ney, writing the model into the dicts of counts.
-
-    Each order's entries overwrite its raw counts once that order's
-    adjusted counts exist; below the highest order those are built from
-    the next order's raw counts, which are still counts then.  A key
-    that ends up holding no model entry, such as a highest-order gram
-    ending in a literal <s> word, still holds an int at the end and is
-    deleted.
+    The model is written into the dicts of counts, which become its
+    tables: model.tables[i] is counts.counts[i].  Each order's entries
+    overwrite its raw counts once that order's adjusted counts exist;
+    below the highest order those are built from the next order's raw
+    counts, which are still counts then.  A key that ends up holding no
+    model entry, such as a highest-order gram ending in a literal <s>
+    word, still holds an int at the end and is deleted.  Count again to
+    train a second model.
     """
     order = counts.order
     adjusted, grams = _adjusted_counts(counts, 1)
@@ -593,20 +577,16 @@ def rerank(hypotheses: Sequence[Hypothesis], model: ArpaModel, cfg: RerankConfig
     return best
 
 
-def read_nbest(lines: Iterable[str]) -> list[list[Hypothesis]]:
+def read_nbest(lines: Iterable[str]) -> Iterator[list[Hypothesis]]:
     """Parse n-best lists: "tokens<TAB>score" lines, blank-line separated.
 
     Sentences are split on whitespace (decoder output is assumed to be
     tokenized already).  A score is a finite decimal number in ASCII
-    digits, with optional sign, point and exponent.
+    digits, with optional sign, point and exponent.  Each group is
+    yielded as soon as the blank line (or the end of lines) that ends it
+    is read, so a caller can finish a group before the next one is
+    parsed; a malformed line raises when the iteration reaches it.
     """
-    return list(_iter_nbest(lines))
-
-
-def _iter_nbest(lines: Iterable[str]) -> Iterator[list[Hypothesis]]:
-    """read_nbest's groups, each yielded as soon as the blank line (or the
-    end of lines) that ends it is read, so a caller can finish a group
-    before the next one is parsed."""
     current: list[Hypothesis] = []
     for line_no, raw_line in enumerate(lines, start=1):
         line = raw_line.rstrip("\n")

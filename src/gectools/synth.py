@@ -33,7 +33,11 @@ DIACRITICS = frozenset("ăâîșțĂÂÎȘȚşţŞŢ")
 # Characters inserted/substituted by character-level noise.
 ALPHABET = "aăâbcdefghiîjklmnopqrsștțuvwxyz"
 
+# Character inventories of the corpus filter's rules 2 and 4.
 QUOTE_CHARS = frozenset('"\'«»„“”‘’‚‹›')
+LINK_MARKERS = ("www.", "http")
+END_MARKS = frozenset(".!?")
+ABBREVIATIONS = frozenset({"etc", "nr", "dl", "dna", "dr", "str", "art", "ex", "pag", "tel", "vol", "sec"})
 
 # Confusion sets a ConfusionProvider caches before it starts over.
 CONFUSION_CACHE_LIMIT = 200_000
@@ -51,17 +55,11 @@ RULE_NAMES = {
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Thresholds and character inventories of the corpus filter."""
+    """Thresholds of the corpus filter."""
 
     min_words: int = 9
     min_diacritic_ratio: float = 0.01
     max_foreign_ratio: float = 0.025
-    end_marks: frozenset[str] = frozenset(".!?")
-    quote_chars: frozenset[str] = QUOTE_CHARS
-    link_markers: tuple[str, ...] = ("www.", "http")
-    abbreviations: frozenset[str] = frozenset(
-        {"etc", "nr", "dl", "dna", "dr", "str", "art", "ex", "pag", "tel", "vol", "sec"}
-    )
 
 
 def diacritic_ratio(text: str) -> float:
@@ -72,13 +70,13 @@ def diacritic_ratio(text: str) -> float:
     return dia / other if other else 0.0
 
 
-def _final_period_is_abbreviation(text: str, cfg: FilterConfig) -> bool:
+def _final_period_is_abbreviation(text: str) -> bool:
     chunks = text.split()
     if not chunks:
         return False
     last = chunks[-1]
     start, end = peel_punct(last)
-    return last[start:end].lower() in cfg.abbreviations
+    return last[start:end].lower() in ABBREVIATIONS
 
 
 def filter_sentence(text: str, cfg: FilterConfig = FilterConfig()) -> int | None:
@@ -92,10 +90,10 @@ def filter_sentence(text: str, cfg: FilterConfig = FilterConfig()) -> int | None
     if first_alpha is None or not first_alpha.isupper():
         return 1
     # 2: no quotation marks and no link markers.
-    if any(ch in cfg.quote_chars for ch in text):
+    if any(ch in QUOTE_CHARS for ch in text):
         return 2
     lowered = text.lower()
-    if any(marker in lowered for marker in cfg.link_markers):
+    if any(marker in lowered for marker in LINK_MARKERS):
         return 2
     # 3: balanced round and square brackets.
     if text.count("(") != text.count(")") or text.count("[") != text.count("]"):
@@ -103,9 +101,9 @@ def filter_sentence(text: str, cfg: FilterConfig = FilterConfig()) -> int | None
     # 4: the last punctuation character is an end mark and, for a
     # period, does not belong to a known abbreviation.
     last_punct = next((ch for ch in reversed(text) if is_punct(ch)), None)
-    if last_punct is None or last_punct not in cfg.end_marks:
+    if last_punct is None or last_punct not in END_MARKS:
         return 4
-    if last_punct == "." and _final_period_is_abbreviation(text, cfg):
+    if last_punct == "." and _final_period_is_abbreviation(text):
         return 4
     # 5: enough Romanian diacritics.
     if diacritic_ratio(text) <= cfg.min_diacritic_ratio:

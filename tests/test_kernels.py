@@ -43,18 +43,6 @@ class TestDlDistance:
     def test_long_strings_match_reference(self, a, b):
         assert kernels.dl_distance(a, b) == ref_char_dl(a, b)
 
-    @given(a=words, b=words, cutoff=st.integers(min_value=0, max_value=6))
-    @settings(max_examples=300, deadline=None)
-    def test_cutoff_contract(self, a, b, cutoff):
-        # With a cutoff the result is exact when <= cutoff, otherwise
-        # any value strictly greater than the cutoff may come back.
-        expect = ref_char_dl(a, b)
-        got = kernels.dl_distance(a, b, cutoff)
-        if expect <= cutoff:
-            assert got == expect
-        else:
-            assert got > cutoff
-
     @given(a=words, b=words)
     @settings(max_examples=100, deadline=None)
     def test_symmetry(self, a, b):

@@ -1,4 +1,4 @@
-"""Alternating benchmark pairs of two checkouts: does a claimed gain hold?
+"""Alternating benchmark pairs of two checkouts: does a claimed gain hold, and does any metric regress?
 
     python3 tools/bench_pairs.py --workload synth-zipf --seed 41 --pairs 10 --seconds 10 PARENT CHANGE
 
@@ -9,12 +9,18 @@ end-to-end metric of BENCHMARK.json it prints each side's median and
 quartiles, the number of pairs in which the change read better (ties
 count for neither side), and whether the gain rule holds: the change
 better in at least nine tenths of the pairs, and the medians apart by
-more than the distance between the parent's quartiles.  Then it lists
-every output file both sides digest whose sha256 differs in any run, and
-the failed items of each side.  Compare checkouts whose paths have the
-same length and that hold no __pycache__ directory under src/: compiled
-bytecode moves peak_rss_mb by about 0.3 MB, so the tool refuses to run
-when either checkout has one.
+more than the distance between the parent's quartiles.  It also prints
+the no-regression check against the metric's bound in BENCHMARK.json,
+read as a fraction of the parent's median: the change's median relative
+to the parent's, and the verdict "within bound", "worse" (worse than the
+parent's median by more than the bound) or "unresolved" (the parent's
+quartile spread, relative to its median, exceeds the bound, and not
+every run of the change reads better than every run of the parent).
+Then it lists every output file both sides digest whose sha256 differs
+in any run, and the failed items of each side.  Compare checkouts whose
+paths have the same length and that hold no __pycache__ directory under
+src/: compiled bytecode moves peak_rss_mb by about 0.3 MB, so the tool
+refuses to run when either checkout has one.
 """
 
 from __future__ import annotations
@@ -53,6 +59,18 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def _regression(before: list[float], after: list[float], bound: float, lower: bool) -> tuple[float, str]:
+    """(how much worse the change's median is than the parent's, as a
+    fraction of the parent's median; the no-regression verdict)."""
+    b1, b2, b3 = _quartiles(before)
+    a2 = _quartiles(after)[1]
+    worse = ((a2 - b2) if lower else (b2 - a2)) / b2
+    all_better = max(after) < min(before) if lower else min(after) > max(before)
+    if (b3 - b1) / b2 > bound and not all_better:
+        return worse, "unresolved"
+    return worse, "worse" if worse > bound else "within bound"
 
 
 def main() -> int:
@@ -99,10 +117,13 @@ def main() -> int:
         won = sum(1 for b, a in zip(before, after) if (a < b if lower else a > b))
         gap = (b2 - a2) if lower else (a2 - b2)
         holds = won >= 0.9 * args.pairs and gap > b3 - b1
+        worse, verdict = _regression(before, after, m["bound"], lower)
         print(f"{name} ({m['unit']}, {m['better']} is better): "
               f"parent {b2:.4f} [{b1:.4f}, {b3:.4f}] -> change {a2:.4f} [{a1:.4f}, {a3:.4f}], "
               f"change better in {won}/{args.pairs}; median gap {gap:+.4f} against parent quartile "
-              f"spread {b3 - b1:.4f}: gain {'holds' if holds else 'does not hold'}")
+              f"spread {b3 - b1:.4f}: gain {'holds' if holds else 'does not hold'}; "
+              f"regression {worse:+.2%} of the parent's median against bound {m['bound']:.0%}, "
+              f"parent spread {(b3 - b1) / b2:.2%}: {verdict}")
     shared = sorted(set(digests[args.parent]) & set(digests[args.change]))
     differ = [key for key in shared if digests[args.parent][key] != digests[args.change][key]]
     print(f"sha256: {len(shared)} shared output files, {len(differ)} differ")
