@@ -18,13 +18,13 @@ __version__ = "0.1.0"
 _MODULES = {
     "align": ("AlignOp", "Edit", "align", "apply_edits", "extract_edits", "merge_ops", "sub_cost"),
     "classify": ("POS_TAGS", "char_overlap_ratio", "classify_all", "classify_edit"),
-    "errors": ("DegenerateCounts", "EmptyInput", "EmptySentence", "GecToolsError",
-               "LengthMismatch", "MalformedArpa", "MalformedLine", "MalformedM2",
-               "MissingAnnotations", "OverlappingEdits", "SeveralAnnotators", "SpanOutOfBounds"),
+    "errors": ("DegenerateCounts", "EmptyInput", "EmptySentence", "GecToolsError", "InvalidEncoding",
+               "LengthMismatch", "MalformedArpa", "MalformedLexicon", "MalformedLine", "MalformedM2",
+               "MissingAnnotations", "NoFiniteScore", "OverlappingEdits", "SentenceMismatch",
+               "SeveralAnnotators", "SpanOutOfBounds"),
     "lexicon": ("Lexicon",),
-    "lm": ("ArpaModel", "Hypothesis", "NgramCounts", "RerankConfig", "count_ngrams", "logprob",
-           "normalized_logprob", "perplexity", "read_arpa", "read_nbest", "rerank",
-           "train_kneser_ney", "write_arpa"),
+    "lm": ("ArpaModel", "Hypothesis", "count_ngrams", "logprob", "normalized_logprob", "perplexity",
+           "read_arpa", "read_nbest", "rerank", "train_kneser_ney", "write_arpa"),
     "m2": ("read_m2", "write_m2"),
     "score": ("CorpusStats", "ScoreReport", "compare", "corpus_stats", "f_beta", "format_stats",
               "group_of", "score_corpus"),

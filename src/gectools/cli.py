@@ -271,7 +271,7 @@ def cmd_lm_train(args) -> int:
     with _open_in(args.input) as fh, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateCounts)
         counts = lm_mod.count_ngrams(_sentences(fh), args.order)
-        model = lm_mod.train_kneser_ney(counts, discounts=args.discount)
+        model = lm_mod.train_kneser_ney(counts, args.discount)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     with _open_out(args.output) as out:
@@ -302,13 +302,12 @@ def cmd_rerank(args) -> int:
 
     with _open_in(args.model) as fh:
         model = lm_mod.read_arpa(fh)
-    cfg = lm_mod.RerankConfig(lm_weight=args.lm_weight, length_normalize=args.length_normalize)
     # Each group is reranked as soon as it is read, so the n-best file is
     # never held whole and an error in a group comes after the output of
     # the groups before it.
     with _open_in(args.nbest) as fh, _open_out(args.output) as out:
         for group in lm_mod.read_nbest(fh):
-            best = lm_mod.rerank(group, model, cfg)
+            best = lm_mod.rerank(group, model, args.lm_weight, args.length_normalize)
             out.write(render(best.sentence) + "\n")
     return 0
 

@@ -2,14 +2,14 @@
 
 Counting pads each sentence with order-1 <s> tokens and one </s>.
 Estimation is interpolated Kneser-Ney with a single discount per order,
-estimated from count-of-counts as n1/(n1 + 2*n2).  Lower-order counts
-are continuation counts (the number of distinct left extensions) except
-for grams starting with <s>, which keep their raw counts.  Models are
-stored the standard ARPA way: per-gram log10 probability plus a log10
-backoff weight on every gram that serves as a context.  In memory the
-two numbers of a gram are one complex value, complex(log10 probability,
-log10 backoff): the same two doubles in one small object the garbage
-collector does not track.
+estimated from count-of-counts as n1/(n1 + 2*n2), or one fixed discount
+for all orders.  Lower-order counts are continuation counts (the number
+of distinct left extensions) except for grams starting with <s>, which
+keep their raw counts.  Models are stored the standard ARPA way:
+per-gram log10 probability plus a log10 backoff weight on every gram
+that serves as a context.  In memory the two numbers of a gram are one
+complex value, complex(log10 probability, log10 backoff): the same two
+doubles in one small object the garbage collector does not track.
 
 <s> is never predicted.  Grams ending in <s> (the runs of <s> from the
 padding, or grams ending in a literal <s> word of the text) therefore
@@ -73,27 +73,15 @@ DUMMY_LOGPROB = -99.0
 FALLBACK_DISCOUNT = 0.75
 
 
-@dataclass(frozen=True)
-class NgramCounts:
-    """Raw n-gram counts for every order up to `order`.
+def count_ngrams(sentences: Iterable[Sentence], order: int) -> tuple[dict[bytes, int], ...]:
+    """Count n-grams of all orders 1..order over a sentence stream.
 
-    counts[n-1] is a plain dict that maps each n-gram, written as the
-    UTF-8 bytes of its words joined by single spaces like the keys of
-    ArpaModel.tables (b"<s> fata merge"), to its count.  count_ngrams
-    inserts the grams in sorted bytes order, so each dict iterates
-    sorted.  Words contain no space.  Bytes keys take about half the
-    memory of str keys for Romanian text (see the module docstring).
+    Item n-1 of the result is a plain dict that maps each n-gram, written
+    as the UTF-8 bytes of its words joined by single spaces like the keys
+    of ArpaModel.tables (b"<s> fata merge"), to its count.  The grams are
+    inserted in sorted bytes order, so each dict iterates sorted.  Words
+    contain no space.
     """
-
-    order: int
-    counts: tuple[dict[bytes, int], ...]
-
-    def raw(self, n: int) -> dict[bytes, int]:
-        return self.counts[n - 1]
-
-
-def count_ngrams(sentences: Iterable[Sentence], order: int) -> NgramCounts:
-    """Count n-grams of all orders 1..order over a sentence stream."""
     if order < 1:
         raise ValueError("order must be at least 1")
     counts = [Counter() for _ in range(order)]
@@ -111,31 +99,31 @@ def count_ngrams(sentences: Iterable[Sentence], order: int) -> NgramCounts:
     # Counter is freed before the next order's dict is built.
     for n, counter in enumerate(counts):
         counts[n] = {gram: counter[gram] for gram in sorted(counter)}
-    return NgramCounts(order=order, counts=tuple(counts))
+    return tuple(counts)
 
 
-def _adjusted_counts(counts: NgramCounts, n: int) -> tuple[dict[bytes, int], list[bytes]]:
+def _adjusted_counts(counts: tuple[dict[bytes, int], ...], n: int) -> tuple[dict[bytes, int], list[bytes]]:
     """Order n's Kneser-Ney adjusted counts and the sorted list of the
     grams that have one, grams ending in <s> left out.
 
     The highest order keeps raw counts: its adjusted counts are
-    counts.raw(n) itself.  Below it, a gram's count is the number of
+    counts[n - 1] itself.  Below it, a gram's count is the number of
     distinct words that precede it, except that grams starting with <s>
     (which can never be preceded) keep their raw counts.  Every key is a
-    key of counts.raw(n): no gram is held twice.
+    key of counts[n - 1]: no gram is held twice.
     """
     # A gram's first or last word is <s> when it starts or ends with one
     # of these, or is <s> itself.
     sos_first, sos_last = _SOS + b" ", b" " + _SOS
-    raw = counts.raw(n)
-    if n == counts.order:
+    raw = counts[n - 1]
+    if n == len(counts):
         adjusted = raw
     else:
         # Suffix closure: every suffix of an order n+1 gram is a key of
-        # raw(n), so each count lands on that key's bytes and the sliced
+        # raw, so each count lands on that key's bytes and the sliced
         # suffix is freed right after its lookup.
         adjusted = Counter(dict.fromkeys(raw, 0))
-        adjusted.update(gram[gram.find(b" ") + 1 :] for gram in counts.raw(n + 1))
+        adjusted.update(gram[gram.find(b" ") + 1 :] for gram in counts[n])
         # Grams starting with <s> keep their raw counts, in place of the
         # continuation counts just tallied.  (The all-<s> grams hold
         # their dummy entries by now; they end in <s>, so no gram below.)
@@ -173,8 +161,11 @@ class ArpaModel:
     vocab and word_logprob keep a str API and encode inside.
     """
 
-    order: int
     tables: tuple[dict[bytes, complex], ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.tables)
 
     @property
     def vocab(self) -> frozenset[str]:
@@ -204,18 +195,16 @@ class ArpaModel:
             n -= 1
 
 
-def train_kneser_ney(
-    counts: NgramCounts, discounts: float | Sequence[float] | None = None
-) -> ArpaModel:
+def train_kneser_ney(counts: tuple[dict[bytes, int], ...], discount: float | None = None) -> ArpaModel:
     """Estimate an interpolated Kneser-Ney model from counts, consuming them.
 
-    discounts may be a single value for all orders or one per order;
-    each must lie strictly between 0 and 1.  When omitted, each order's
-    discount is estimated from its count-of-counts, falling back to 0.75
-    (with a DegenerateCounts warning) when the statistics are too sparse.
+    discount, when given, is used for every order and must lie strictly
+    between 0 and 1.  When omitted, each order's discount is estimated
+    from its count-of-counts, falling back to 0.75 (with a
+    DegenerateCounts warning) when the statistics are too sparse.
 
     The model is written into the dicts of counts, which become its
-    tables: model.tables[i] is counts.counts[i].  Each order's entries
+    tables: model.tables[i] is counts[i].  Each order's entries
     overwrite its raw counts once that order's adjusted counts exist;
     below the highest order those are built from the next order's raw
     counts, which are still counts then.  A key that ends up holding no
@@ -223,33 +212,22 @@ def train_kneser_ney(
     word, still holds an int at the end and is deleted.  Count again to
     train a second model.
     """
-    order = counts.order
     adjusted, grams = _adjusted_counts(counts, 1)
     if not grams:
         raise EmptyInput("cannot train a model from an empty corpus")
+    if discount is not None and not 0.0 < discount < 1.0:
+        raise ValueError(f"discount must lie strictly between 0 and 1, got {discount}")
 
-    ds: list[float | None] = [None] * order
-    if discounts is not None:
-        if isinstance(discounts, (int, float)):
-            ds = [float(discounts)] * order
-        else:
-            ds = [float(d) for d in discounts]
-            if len(ds) != order:
-                raise ValueError(f"expected {order} discounts, got {len(ds)}")
-        for d in ds:
-            if not 0.0 < d < 1.0:
-                raise ValueError(f"discount must lie strictly between 0 and 1, got {d}")
-
-    tables: tuple[dict[bytes, complex | int], ...] = counts.counts
+    tables: tuple[dict[bytes, complex | int], ...] = counts
     # Dummy entries for the all-<s> grams, which the padding of any
     # sentence holds, so they can carry backoff weights; and the <s>
     # unigram itself even in a unigram model.  Grams ending in <s> are
     # never estimated, so no order's adjusted counts need these counts.
-    for n in range(1, max(order, 2)):
+    for n in range(1, max(len(counts), 2)):
         tables[n - 1][b" ".join([_SOS] * n)] = complex(DUMMY_LOGPROB, 0.0)
 
     # Unigrams: leftover mass goes to <unk>.
-    d1 = _estimate_discount(adjusted, grams, 1) if ds[0] is None else ds[0]
+    d1 = _estimate_discount(adjusted, grams, 1) if discount is None else discount
     total = sum(map(adjusted.__getitem__, grams))
     probs: dict[bytes, float] = {gram: (adjusted[gram] - d1) / total for gram in grams}
     probs[_UNK] = probs.get(_UNK, 0.0) + d1 * len(grams) / total
@@ -258,13 +236,13 @@ def train_kneser_ney(
 
     # One order at a time: its adjusted counts are gone before the next
     # order's are built.
-    for n in range(2, order + 1):
-        _estimate_order(*_adjusted_counts(counts, n), n, ds[n - 1], tables[n - 2], tables[n - 1])
+    for n in range(2, len(counts) + 1):
+        _estimate_order(*_adjusted_counts(counts, n), n, discount, tables[n - 2], tables[n - 1])
 
     for table in tables:
         for gram in [gram for gram, entry in table.items() if type(entry) is not complex]:
             del table[gram]
-    return ArpaModel(order=order, tables=tables)
+    return ArpaModel(tables)
 
 
 def _estimate_order(
@@ -499,7 +477,7 @@ def read_arpa(lines: Iterable[str]) -> ArpaModel:
                 line_no,
                 f"section {n} has {len(tables[n - 1])} entries, header declared {count}",
             )
-    return ArpaModel(order=len(declared), tables=tuple(tables))
+    return ArpaModel(tuple(tables))
 
 
 def _mapped_forms(model: ArpaModel, sentence: Sentence) -> list[str]:
@@ -510,10 +488,11 @@ def _mapped_forms(model: ArpaModel, sentence: Sentence) -> list[str]:
 def logprob(model: ArpaModel, sentence: Sentence) -> float:
     """log10 probability of the sentence, </s> included."""
     words = _mapped_forms(model, sentence) + [EOS]
-    history = [SOS] * (model.order - 1)
+    width = model.order - 1
+    history = [SOS] * width
     total = 0.0
     for word in words:
-        context = tuple(history[len(history) - (model.order - 1):]) if model.order > 1 else ()
+        context = tuple(history[len(history) - width:]) if width else ()
         total += model.word_logprob(word, context)
         history.append(word)
     return total
@@ -544,13 +523,9 @@ class Hypothesis:
     model_score: float
 
 
-@dataclass(frozen=True)
-class RerankConfig:
-    lm_weight: float = 1.0
-    length_normalize: bool = False
-
-
-def rerank(hypotheses: Sequence[Hypothesis], model: ArpaModel, cfg: RerankConfig = RerankConfig()) -> Hypothesis:
+def rerank(
+    hypotheses: Sequence[Hypothesis], model: ArpaModel, lm_weight: float = 1.0, length_normalize: bool = False
+) -> Hypothesis:
     """Pick the best hypothesis by decoder score plus weighted LM score.
 
     The LM contributes its normalized log probability.  Ties keep the
@@ -564,15 +539,15 @@ def rerank(hypotheses: Sequence[Hypothesis], model: ArpaModel, cfg: RerankConfig
     best_score = -math.inf
     for hyp in hypotheses:
         base = hyp.model_score
-        if cfg.length_normalize:
+        if length_normalize:
             base = base / max(len(hyp.sentence), 1)
-        combined = base + cfg.lm_weight * normalized_logprob(model, hyp.sentence)
+        combined = base + lm_weight * normalized_logprob(model, hyp.sentence)
         if math.isfinite(combined) and (best is None or combined > best_score):
             best, best_score = hyp, combined
     if best is None:
         raise NoFiniteScore(
             f"none of {len(hypotheses)} hypotheses has a finite combined score "
-            f"(decoder score + {cfg.lm_weight:g} x LM score)"
+            f"(decoder score + {lm_weight:g} x LM score)"
         )
     return best
 

@@ -157,11 +157,10 @@ def parse_conllu(lines: Iterable[str]) -> list[Sentence]:
             raise MalformedLine(line_no, f"bad token id: {token_id!r}, expected {len(tokens) + 1}")
         if not form or form == "_":
             raise MalformedLine(line_no, f"bad token form: {form!r}")
-        if form.split() != [form]:
-            raise MalformedLine(line_no, f"token form contains whitespace: {form!r}")
-        upos_val = _field(upos)
-        if upos_val is not None and upos_val not in UD_UPOS:
-            raise MalformedLine(line_no, f"unknown UPOS tag: {upos_val!r}")
-        tokens.append(Token(form=form, lemma=_field(lemma), upos=upos_val))
+        try:
+            token = Token(form=form, lemma=_field(lemma), upos=_field(upos))
+        except ValueError as exc:
+            raise MalformedLine(line_no, str(exc)) from None
+        tokens.append(token)
     flush()
     return sentences

@@ -440,7 +440,7 @@ def ref_read_arpa(lines: Iterable[str]) -> ArpaModel:
                 last_line_no,
                 f"section {n} has {len(tables[n - 1])} entries, header declared {count}",
             )
-    return ArpaModel(order=len(declared), tables=tuple(tables))
+    return ArpaModel(tuple(tables))
 
 
 # --- corpus filter (independent straight-line version) ---------------------

@@ -44,7 +44,6 @@ from gectools.lm import (
     SOS,
     UNK,
     Hypothesis,
-    RerankConfig,
     count_ngrams,
     perplexity,
     read_arpa,
@@ -456,21 +455,21 @@ def test_criterion_8_reranking_properties():
             for t, s in zip(hyp_texts, scores)
         ]
         expect_lm = hyp_texts[combined.index(max(combined))]
-        got_lm = rerank(hyps, model, RerankConfig(lm_weight=1.0)).sentence
+        got_lm = rerank(hyps, model, lm_weight=1.0).sentence
         if " ".join(got_lm.forms) != expect_lm:
             failures.append(f"group {g_index}: lm_weight=1 picked {' '.join(got_lm.forms)!r}, hand argmax {expect_lm!r}")
 
         # lm_weight=0 reduces to the decoder argmax
         expect_dec = hyp_texts[scores.index(max(scores))]
-        got_dec = rerank(hyps, model, RerankConfig(lm_weight=0.0)).sentence
+        got_dec = rerank(hyps, model, lm_weight=0.0).sentence
         if " ".join(got_dec.forms) != expect_dec:
             failures.append(f"group {g_index}: lm_weight=0 picked {' '.join(got_dec.forms)!r}, decoder argmax {expect_dec!r}")
 
         # constant shifts of all decoder scores never change the winner
-        baseline = rerank(hyps, model, RerankConfig(lm_weight=1.0)).sentence
+        baseline = rerank(hyps, model, lm_weight=1.0).sentence
         for shift in (-1000.0, -3.7, 0.0, 12.5, 10_000.0):
             shifted = [Hypothesis(h.sentence, h.model_score + shift) for h in hyps]
-            winner = rerank(shifted, model, RerankConfig(lm_weight=1.0)).sentence
+            winner = rerank(shifted, model, lm_weight=1.0).sentence
             if winner.forms != baseline.forms:
                 failures.append(f"group {g_index}: shift {shift} moved the winner")
 

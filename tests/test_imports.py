@@ -76,3 +76,14 @@ def test_public_names_are_their_modules_objects(first):
         else:
             raise AssertionError("no AttributeError")
     """)
+
+
+def test_every_error_and_warning_class_is_public():
+    # Warning subclasses Exception, so this takes DegenerateCounts too.
+    modules_after("""
+        import gectools
+        from gectools import errors
+        defined = {name for name, value in vars(errors).items()
+                   if isinstance(value, type) and issubclass(value, Exception)}
+        assert defined <= set(gectools.__all__), defined - set(gectools.__all__)
+    """)

@@ -178,5 +178,19 @@ class TestParseConllu:
         with pytest.raises(MalformedLine):
             parse_conllu(io.StringIO(bad))
 
+    def test_whitespace_form_error_names_line_and_form(self):
+        lines = ["# sent_id = s1\n", "1\tcasa\tcasă\tNOUN\t_\t_\t0\troot\t_\t_\n",
+                 "2\ta b\t_\tNOUN\t_\t_\t1\tobj\t_\t_\n"]
+        with pytest.raises(MalformedLine) as err:
+            parse_conllu(lines)
+        assert (err.value.line_no, str(err.value)) == (3, "line 3: token form contains whitespace: 'a b'")
+
+    def test_bad_upos_error_names_line_and_tag(self):
+        lines = ["1\tcasa\tcasă\tNOUN\t_\t_\t0\troot\t_\t_\n", "\n",
+                 "1\tcasa\tcasă\tWRONG\t_\t_\t0\troot\t_\t_\n"]
+        with pytest.raises(MalformedLine) as err:
+            parse_conllu(lines)
+        assert (err.value.line_no, str(err.value)) == (3, "line 3: unknown UPOS tag: 'WRONG'")
+
     def test_empty_input_gives_no_sentences(self):
         assert parse_conllu(io.StringIO("")) == []

@@ -9,10 +9,12 @@ commands are perfbench/worker.py's.  Each round runs every stage in
 every CHECKOUT in turn, rotating which checkout goes first, with
 PYTHONPATH=CHECKOUT/src and PYTHONHASHSEED=0 and PYTHONDONTWRITEBYTECODE=1
 as perfbench sets them, so every gectools module is compiled from source
-on each start.  A `python -c pass` process is timed too, each round, as
-the interpreter's own start.  Prints the median wall time of each stage
-and of a whole round, per checkout, in milliseconds.  Compare checkouts
-whose paths have the same length.
+on each start.  PYTHONDONTWRITEBYTECODE stops only the writing of
+bytecode, not its reading, so the tool refuses to run when a checkout
+holds a __pycache__ directory under src/.  A `python -c pass` process is
+timed too, each round, as the interpreter's own start.  Prints the
+median wall time of each stage and of a whole round, per checkout, in
+milliseconds.  Compare checkouts whose paths have the same length.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ def main() -> int:
     ap.add_argument("--rounds", type=int, default=7)
     ap.add_argument("checkouts", nargs="+", type=lambda path: Path(path).resolve())
     args = ap.parse_args()
+    for checkout in args.checkouts:
+        cached = next((checkout / "src").rglob("__pycache__"), None)
+        if cached is not None:
+            raise SystemExit(f"error: {cached}: compiled bytecode skips compiling from source; remove it before timing")
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
