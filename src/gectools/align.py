@@ -265,38 +265,27 @@ def _touches_punct(orig: Sentence, corr: Sentence, edit: Edit) -> bool:
 
 
 def merge_ops(ops: list[AlignOp], orig: Sentence, corr: Sentence) -> list[Edit]:
-    """Group alignment operations into edits.
+    """Group the alignment path of orig and corr (as align returns it)
+    into edits.
 
-    Every maximal run of non-match operations becomes one edit.  Two
+    Every maximal run of non-match operations becomes one edit: it
+    starts at the cursor positions of its first operation and ends at
+    those of the match after it, or at the ends of the sentences.  Two
     edits separated by exactly one matched punctuation token are then
     merged (bridging the punctuation) when either of them touches
     punctuation itself.
     """
     edits: list[Edit] = []
-    oi = ci = 0
-    run: tuple[int, int] | None = None
+    run: AlignOp | None = None
     for step in ops:
-        if step.kind == MATCH:
-            if run is not None:
-                edits.append(_make_edit(orig, corr, run[0], oi, run[1], ci))
-                run = None
-            oi += 1
-            ci += 1
-            continue
-        if run is None:
-            run = (oi, ci)
-        if step.kind == TRANSPOSE:
-            oi += 2
-            ci += 2
-        elif step.kind == DELETE:
-            oi += 1
-        elif step.kind == INSERT:
-            ci += 1
-        else:
-            oi += 1
-            ci += 1
+        if step.kind != MATCH:
+            if run is None:
+                run = step
+        elif run is not None:
+            edits.append(_make_edit(orig, corr, run.o_index, step.o_index, run.c_index, step.c_index))
+            run = None
     if run is not None:
-        edits.append(_make_edit(orig, corr, run[0], oi, run[1], ci))
+        edits.append(_make_edit(orig, corr, run.o_index, len(orig), run.c_index, len(corr)))
 
     if not edits:
         return edits

@@ -53,6 +53,8 @@ from gectools.text import parse_conllu, render, tokenize
 # The highest lm-train order: KenLM's default build limit, so a default
 # KenLM build loads every model lm-train writes.
 MAX_ORDER = 6
+# The most worker processes synth --jobs may start.
+MAX_JOBS = 128
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,8 +182,8 @@ def cmd_score(args) -> int:
     for i, ((ref_sentence, _), (hyp_sentence, _)) in enumerate(pairs, start=1):
         if ref_sentence.forms != hyp_sentence.forms:
             raise SentenceMismatch(
-                f"sentence {i} differs: {args.ref} has {' '.join(ref_sentence.forms)!r}, "
-                f"{args.hyp} has {' '.join(hyp_sentence.forms)!r}"
+                f"sentence {i} differs: {args.ref} has {render(ref_sentence)!r}, "
+                f"{args.hyp} has {render(hyp_sentence)!r}"
             )
     report = score_corpus([edits for _, edits in ref], [edits for _, edits in hyp], beta=args.beta)
     print(f"TP {report.tp}  FP {report.fp}  FN {report.fn}")
@@ -217,18 +219,18 @@ def _filter_config(args):
 
 
 def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-words", type=int, default=9, help="minimum word count (default 9)")
+    parser.add_argument("--min-words", type=int, default=9, help="minimum word count (default %(default)s)")
     parser.add_argument(
         "--min-diacritic-ratio",
         type=float,
         default=0.01,
-        help="minimum diacritic/non-diacritic ratio (default 0.01)",
+        help="minimum diacritic/non-diacritic ratio (default %(default)s)",
     )
     parser.add_argument(
         "--max-foreign-ratio",
         type=float,
         default=0.025,
-        help="maximum foreign-character ratio (default 0.025)",
+        help="maximum foreign-character ratio (default %(default)s)",
     )
 
 
@@ -323,7 +325,7 @@ def _check_ranges(parser: argparse.ArgumentParser, args) -> None:
         "lm_weight": ("finite", math.isfinite),
         "discount": ("strictly between 0 and 1", lambda v: 0 < v < 1),
         "order": (f"between 1 and {MAX_ORDER}", lambda v: 1 <= v <= MAX_ORDER),
-        "jobs": ("between 1 and 128", lambda v: 1 <= v <= 128),
+        "jobs": (f"between 1 and {MAX_JOBS}", lambda v: 1 <= v <= MAX_JOBS),
         "max_distance": ("at least 0", lambda v: v >= 0),
         "confusion_size": ("at least 0", lambda v: v >= 0),
         "min_words": ("at least 0", lambda v: v >= 0),
@@ -359,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score hypothesis edits against reference edits")
     p.add_argument("ref", help="reference M2 file")
     p.add_argument("hyp", help="hypothesis M2 file")
-    p.add_argument("--beta", type=float, default=0.5, help="F-score beta (default 0.5)")
+    p.add_argument("--beta", type=float, default=0.5, help="F-score beta (default %(default)s)")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("stats", help="error-type distribution of an M2 file")
@@ -377,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True, help="word list (word[<TAB>frequency] per line)")
     p.add_argument("--seed", type=int, required=True, help="base random seed")
     p.add_argument("-o", "--output", help="output TSV file (default stdout)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, 1 to 128 (default 1)")
+    p.add_argument(
+        "--jobs", type=int, default=1, help=f"worker processes, 1 to {MAX_JOBS} (default %(default)s)"
+    )
     p.add_argument("--mean-error-rate", type=float, default=0.15)
     p.add_argument("--std-error-rate", type=float, default=0.2)
     p.add_argument("--confusion-size", type=int, default=20)
@@ -389,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lm-train", help="train a Kneser-Ney n-gram model, write ARPA")
     p.add_argument("input", help="training text, one sentence per line ('-' for stdin)")
     p.add_argument("-o", "--output", help="output ARPA file (default stdout)")
-    p.add_argument("--order", type=int, default=5, help=f"model order, 1 to {MAX_ORDER} (default 5)")
+    p.add_argument(
+        "--order", type=int, default=5, help=f"model order, 1 to {MAX_ORDER} (default %(default)s)"
+    )
     p.add_argument(
         "--discount", type=float, help="fixed discount for all orders (default: estimate from data)"
     )

@@ -17,7 +17,7 @@ from typing import IO, Iterable
 from gectools.align import Edit
 from gectools.errors import MalformedM2, SeveralAnnotators
 from gectools.score import UNTYPED
-from gectools.text import Sentence, Token
+from gectools.text import Sentence, Token, render
 
 NOOP_LINE = "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0"
 # A span bound: ASCII digits, signed for the noop line's -1.
@@ -26,8 +26,7 @@ _SPAN_NUMBER = re.compile(r"-?[0-9]+")
 
 def write_m2(sentence: Sentence, edits: Iterable[Edit], out: IO[str]) -> None:
     """Write one sentence block."""
-    forms = " ".join(t.form for t in sentence.tokens)
-    out.write(f"S {forms}".rstrip() + "\n")
+    out.write(f"S {render(sentence)}".rstrip() + "\n")
     wrote_any = False
     for edit in edits:
         label = edit.etype or UNTYPED

@@ -5,7 +5,9 @@ sentences (seven rules, applied in a fixed order).  Accepted sentences
 are then corrupted with stochastic word-level operations (substitution
 from a confusion set, deletion, insertion, adjacent swap) followed by a
 round of character-level noise, producing corrupted/original pairs for
-training correction models.
+training correction models.  Both stages draw each operation from one
+fixed mix, OPERATIONS: substitute 0.7, delete 0.1, insert 0.1 and swap
+0.1, the recipe of Grundkiewicz, Junczys-Dowmunt & Heafield (BEA 2019).
 
 Corruption is deterministic given a seed: every input line uses its own
 generator seeded with seed XOR line-index, so results do not depend on
@@ -18,7 +20,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import accumulate, compress
 from typing import IO, Iterable
 
 from gectools.errors import EmptySentence
@@ -38,6 +40,13 @@ QUOTE_CHARS = frozenset('"\'«»„“”‘’‚‹›')
 LINK_MARKERS = ("www.", "http")
 END_MARKS = frozenset(".!?")
 ABBREVIATIONS = frozenset({"etc", "nr", "dl", "dna", "dr", "str", "art", "ex", "pag", "tel", "vol", "sec"})
+
+# The corruption operations, and the draws below which _draw_op picks
+# each but the last: the mix 0.7, 0.1, 0.1 (swap takes the last 0.1)
+# summed left to right, which as floats reads 0.7, 0.7999999999999999
+# and 0.8999999999999999.
+OPERATIONS = ("substitute", "delete", "insert", "swap")
+_OP_BOUNDS = tuple(accumulate((0.7, 0.1, 0.1)))
 
 # Confusion sets a ConfusionProvider caches before it starts over.
 CONFUSION_CACHE_LIMIT = 200_000
@@ -125,18 +134,9 @@ class SynthConfig:
 
     mean_error_rate: float = 0.15
     std_error_rate: float = 0.2
-    p_substitute: float = 0.7
-    p_delete: float = 0.1
-    p_insert: float = 0.1
-    p_swap: float = 0.1
     confusion_size: int = 20
     char_word_rate: float = 0.1
     seed: int = 0
-
-    def __post_init__(self):
-        total = self.p_substitute + self.p_delete + self.p_insert + self.p_swap
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"operation probabilities must sum to 1, got {total}")
 
 
 class ConfusionProvider:
@@ -311,15 +311,8 @@ def _round_half_away(x: float) -> int:
     return int(x + 0.5)
 
 
-def _draw_op(cfg: SynthConfig, rng: random.Random) -> str:
-    r = rng.random()
-    if r < cfg.p_substitute:
-        return "substitute"
-    if r < cfg.p_substitute + cfg.p_delete:
-        return "delete"
-    if r < cfg.p_substitute + cfg.p_delete + cfg.p_insert:
-        return "insert"
-    return "swap"
+def _draw_op(rng: random.Random) -> str:
+    return OPERATIONS[bisect_right(_OP_BOUNDS, rng.random())]
 
 
 def corrupt_sentence(
@@ -335,26 +328,27 @@ def corrupt_sentence(
     [0, 1]; that fraction of word positions (rounded, half away from
     zero) is sampled without replacement and hit with one operation
     each.  A second pass applies character-level noise to a fraction of
-    the surviving words.
+    the surviving words.  Both stages draw each operation from the fixed
+    mix OPERATIONS: substitute 0.7, delete 0.1, insert 0.1, swap 0.1.
     """
     n = len(sentence)
     if n == 0:
         raise EmptySentence("cannot corrupt a sentence with no tokens")
+    if stats is None:
+        stats = CorruptionStats()
 
     p_err = min(1.0, max(0.0, rng.gauss(cfg.mean_error_rate, cfg.std_error_rate)))
     n_changed = _round_half_away(p_err * n)
-    if stats is not None:
-        stats.sentences += 1
-        stats.changed_fraction_sum += n_changed / n
+    stats.sentences += 1
+    stats.changed_fraction_sum += n_changed / n
 
     # (original position, or None for an inserted word; current form)
     slots: list[tuple[int | None, str]] = list(enumerate(t.form for t in sentence.tokens))
 
     if n_changed > 0:
         for pos in rng.sample(range(n), n_changed):
-            op = _draw_op(cfg, rng)
-            if stats is not None:
-                stats.word_ops[op] += 1
+            op = _draw_op(rng)
+            stats.word_ops[op] += 1
             cur = next((i for i, (orig, _) in enumerate(slots) if orig == pos), None)
             if cur is None:
                 continue
@@ -362,7 +356,7 @@ def corrupt_sentence(
                 candidates = provider.confusion_set(slots[cur][1], cfg.confusion_size)
                 if candidates:
                     slots[cur] = (pos, candidates[rng.randrange(len(candidates))])
-                elif stats is not None:
+                else:
                     stats.no_candidate_subs += 1
             elif op == "delete":
                 del slots[cur]
@@ -378,9 +372,8 @@ def corrupt_sentence(
     n_char = _round_half_away(cfg.char_word_rate * len(work))
     if n_char > 0 and work:
         for pos in rng.sample(range(len(work)), min(n_char, len(work))):
-            op = _draw_op(cfg, rng)
-            if stats is not None:
-                stats.char_ops[op] += 1
+            op = _draw_op(rng)
+            stats.char_ops[op] += 1
             word = work[pos]
             if op == "substitute":
                 i = rng.randrange(len(word))
@@ -432,7 +425,7 @@ class SynthStats:
         if total_ops:
             mix = ", ".join(
                 f"{op}={self.corruption.word_op_fraction(op):.3f}"
-                for op in ("substitute", "delete", "insert", "swap")
+                for op in OPERATIONS
             )
             lines.append(f"word operations: {total_ops} ({mix})")
             lines.append(f"char operations: {sum(self.corruption.char_ops.values())}")
@@ -442,16 +435,17 @@ class SynthStats:
         return "\n".join(lines)
 
 
-_WORKER: dict = {}
+# A pool worker's (filter_cfg, synth_cfg, provider), set by _init_worker.
+_WORKER_ARGS: tuple = ()
 
 
-def _init_worker(filter_cfg, synth_cfg, provider):
-    _WORKER["filter_cfg"] = filter_cfg
-    _WORKER["synth_cfg"] = synth_cfg
-    _WORKER["provider"] = provider
+def _init_worker(*args):
+    global _WORKER_ARGS
+    _WORKER_ARGS = args
 
 
 def _corrupt_one(index: int, line: str, filter_cfg, synth_cfg, provider):
+    line = line.rstrip("\n")
     rule = filter_sentence(line, filter_cfg)
     if rule is not None:
         return rule, None, None
@@ -463,10 +457,7 @@ def _corrupt_one(index: int, line: str, filter_cfg, synth_cfg, provider):
 
 
 def _worker(item):
-    index, line = item
-    return _corrupt_one(
-        index, line.rstrip("\n"), _WORKER["filter_cfg"], _WORKER["synth_cfg"], _WORKER["provider"]
-    )
+    return _corrupt_one(*item, *_WORKER_ARGS)
 
 
 def generate_corpus(
@@ -492,7 +483,7 @@ def generate_corpus(
 
     if jobs <= 1:
         for index, line in enumerate(lines):
-            consume(_corrupt_one(index, line.rstrip("\n"), filter_cfg, synth_cfg, provider))
+            consume(_corrupt_one(index, line, filter_cfg, synth_cfg, provider))
         return stats
 
     from multiprocessing import Pool

@@ -252,6 +252,62 @@ def ref_align_path(orig, corr, params=REF_PARAMS) -> list[tuple[str, int, int]]:
     return path
 
 
+# Tokens each alignment kind consumes on the (original, corrected) side.
+_REF_WIDTHS = {"match": (1, 1), "substitute": (1, 1), "transpose": (2, 2), "delete": (1, 0), "insert": (0, 1)}
+
+
+def _ref_is_punct(form: str) -> bool:
+    return bool(form) and all(unicodedata.category(ch).startswith("P") for ch in form)
+
+
+def ref_merge(kinds, orig, corr) -> list[tuple[int, int, int, int, str, str]]:
+    """Edits of an alignment path given by its kinds alone, as
+    (o_start, o_end, c_start, c_end, o_text, c_text).
+
+    Cursors walk the path, advancing by each kind's widths; every
+    maximal run of non-match kinds is one span.  Two spans with exactly
+    one matched punctuation token between them are then joined when
+    either holds punctuation on either side.
+    """
+    o_forms = [t.form for t in orig.tokens]
+    c_forms = [t.form for t in corr.tokens]
+    spans = []
+    oi = ci = 0
+    start = None
+    for kind in kinds:
+        if kind == "match" and start is not None:
+            spans.append([start[0], oi, start[1], ci])
+            start = None
+        elif kind != "match" and start is None:
+            start = (oi, ci)
+        do, dc = _REF_WIDTHS[kind]
+        oi += do
+        ci += dc
+    if start is not None:
+        spans.append([start[0], oi, start[1], ci])
+
+    def has_punct(span):
+        o0, o1, c0, c1 = span
+        return any(_ref_is_punct(f) for f in o_forms[o0:o1] + c_forms[c0:c1])
+
+    joined = []
+    for span in spans:
+        if (
+            joined
+            and span[0] == joined[-1][1] + 1
+            and span[2] == joined[-1][3] + 1
+            and _ref_is_punct(o_forms[joined[-1][1]])
+            and (has_punct(joined[-1]) or has_punct(span))
+        ):
+            joined[-1] = [joined[-1][0], span[1], joined[-1][2], span[3]]
+        else:
+            joined.append(span)
+    return [
+        (o0, o1, c0, c1, " ".join(o_forms[o0:o1]), " ".join(c_forms[c0:c1]))
+        for o0, o1, c0, c1 in joined
+    ]
+
+
 # --- Kneser-Ney (direct interpolation over adjusted counts) ----------------
 
 SOS, EOS, UNK = "<s>", "</s>", "<unk>"

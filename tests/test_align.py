@@ -21,7 +21,7 @@ from gectools.align import (
 )
 from gectools.errors import OverlappingEdits, SpanOutOfBounds
 from gectools.text import Sentence, Token
-from tests.oracles import path_cost, ref_align_cost, ref_align_path, ref_sub_cost
+from tests.oracles import path_cost, ref_align_cost, ref_align_path, ref_merge, ref_sub_cost
 
 
 def sent(*forms, annot=None):
@@ -264,6 +264,17 @@ class TestMergeAndExtract:
         corr = sent("a", "?", ".", ".", "c")
         edits = extract_edits(orig, corr)
         assert len(edits) == 2
+
+    @given(a=st.lists(_TIE_TOKENS, max_size=9), b=st.lists(_TIE_TOKENS, max_size=9))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_cursor_walking_merge(self, a, b):
+        # Edit boundaries come from the path's stored positions; the
+        # reference recomputes them from each kind's token widths.
+        orig, corr = Sentence(tuple(a)), Sentence(tuple(b))
+        ops = align(orig, corr)
+        edits = merge_ops(ops, orig, corr)
+        got = [(e.o_start, e.o_end, e.c_start, e.c_end, e.o_text, e.c_text) for e in edits]
+        assert got == ref_merge([op.kind for op in ops], orig, corr)
 
 
 class TestApplyEdits:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from gectools import synth
 from gectools.errors import EmptySentence
 from gectools.lexicon import Lexicon
 from gectools.synth import (
@@ -14,6 +15,7 @@ from gectools.synth import (
     CorruptionStats,
     FilterConfig,
     SynthConfig,
+    _draw_op,
     corrupt_sentence,
     diacritic_ratio,
     filter_sentence,
@@ -281,10 +283,10 @@ class TestCorruptSentence:
         b = corrupt_sentence(sent, SynthConfig(), provider, random.Random(42))
         assert a.forms == b.forms
 
-    def test_high_rate_changes_every_word(self, provider):
+    def test_high_rate_changes_every_word(self, provider, monkeypatch):
         # mean 5.0 with tiny std clamps to 1.0: every position is hit
-        cfg = SynthConfig(mean_error_rate=5.0, std_error_rate=0.001, p_substitute=1.0,
-                          p_delete=0.0, p_insert=0.0, p_swap=0.0)
+        monkeypatch.setattr(synth, "_draw_op", lambda rng: "substitute")
+        cfg = SynthConfig(mean_error_rate=5.0, std_error_rate=0.001)
         sent = tokenize("bace bice boba cuba tibe")
         stats = CorruptionStats()
         corrupt_sentence(sent, cfg, provider, random.Random(7), stats)
@@ -298,41 +300,41 @@ class TestCorruptSentence:
         # word stage is off; only char noise may touch the words
         assert len(out) == 3
 
-    def test_swap_on_singleton_is_noop_but_counted(self, provider):
-        cfg = SynthConfig(mean_error_rate=5.0, std_error_rate=0.001, p_substitute=0.0,
-                          p_delete=0.0, p_insert=0.0, p_swap=1.0, char_word_rate=0.0)
+    def test_swap_on_singleton_is_noop_but_counted(self, provider, monkeypatch):
+        monkeypatch.setattr(synth, "_draw_op", lambda rng: "swap")
+        cfg = SynthConfig(mean_error_rate=5.0, std_error_rate=0.001, char_word_rate=0.0)
         sent = make_sentence("bace")
         stats = CorruptionStats()
         out = corrupt_sentence(sent, cfg, provider, random.Random(7), stats)
         assert out.forms == ["bace"]
         assert stats.word_ops["swap"] == 1
 
-    def test_oov_substitution_is_noop_and_counted(self, provider):
-        cfg = SynthConfig(mean_error_rate=5.0, std_error_rate=0.001, p_substitute=1.0,
-                          p_delete=0.0, p_insert=0.0, p_swap=0.0, char_word_rate=0.0)
+    def test_oov_substitution_is_noop_and_counted(self, provider, monkeypatch):
+        monkeypatch.setattr(synth, "_draw_op", lambda rng: "substitute")
+        cfg = SynthConfig(mean_error_rate=5.0, std_error_rate=0.001, char_word_rate=0.0)
         sent = make_sentence("qqqqqqqqqq")
         stats = CorruptionStats()
         out = corrupt_sentence(sent, cfg, provider, random.Random(7), stats)
         assert out.forms == ["qqqqqqqqqq"]
         assert stats.no_candidate_subs == 1
 
-    def test_delete_everything(self, provider):
-        cfg = SynthConfig(mean_error_rate=5.0, std_error_rate=0.001, p_substitute=0.0,
-                          p_delete=1.0, p_insert=0.0, p_swap=0.0, char_word_rate=0.0)
+    def test_delete_everything(self, provider, monkeypatch):
+        monkeypatch.setattr(synth, "_draw_op", lambda rng: "delete")
+        cfg = SynthConfig(mean_error_rate=5.0, std_error_rate=0.001, char_word_rate=0.0)
         sent = make_sentence("bace", "bice")
         out = corrupt_sentence(sent, cfg, provider, random.Random(7))
         assert len(out) == 0
 
-    def test_insert_grows_sentence(self, provider):
-        cfg = SynthConfig(mean_error_rate=5.0, std_error_rate=0.001, p_substitute=0.0,
-                          p_delete=0.0, p_insert=1.0, p_swap=0.0, char_word_rate=0.0)
+    def test_insert_grows_sentence(self, provider, monkeypatch):
+        monkeypatch.setattr(synth, "_draw_op", lambda rng: "insert")
+        cfg = SynthConfig(mean_error_rate=5.0, std_error_rate=0.001, char_word_rate=0.0)
         sent = make_sentence("bace", "bice")
         out = corrupt_sentence(sent, cfg, provider, random.Random(7))
         assert len(out) == 4
 
-    def test_swap_exchanges_neighbours(self, provider):
-        cfg = SynthConfig(mean_error_rate=5.0, std_error_rate=0.001, p_substitute=0.0,
-                          p_delete=0.0, p_insert=0.0, p_swap=1.0, char_word_rate=0.0)
+    def test_swap_exchanges_neighbours(self, provider, monkeypatch):
+        monkeypatch.setattr(synth, "_draw_op", lambda rng: "swap")
+        cfg = SynthConfig(mean_error_rate=5.0, std_error_rate=0.001, char_word_rate=0.0)
         sent = make_sentence("bace", "bice")
         out = corrupt_sentence(sent, cfg, provider, random.Random(7))
         # both positions drawn, each swap flips the pair, net identity
@@ -346,10 +348,34 @@ class TestCorruptSentence:
         assert sum(stats.char_ops.values()) == 2
 
 
-class TestSynthConfig:
-    def test_probabilities_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            SynthConfig(p_substitute=0.5, p_delete=0.1, p_insert=0.1, p_swap=0.1)
+class _FixedDraw:
+    """A stand-in rng whose random() returns one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+class TestDrawOp:
+    @pytest.mark.parametrize(
+        "value, op",
+        [
+            (0.0, "substitute"),
+            (0.6999999999999999, "substitute"),
+            (0.7, "delete"),
+            # 0.7 + 0.1 as a float: a literal bound 0.8 would say delete
+            (0.7999999999999999, "insert"),
+            (0.8, "insert"),
+            # 0.7 + 0.1 + 0.1: a literal bound 0.9 would say insert
+            (0.8999999999999999, "swap"),
+            (0.9, "swap"),
+            (0.9999999999999999, "swap"),
+        ],
+    )
+    def test_bounds(self, value, op):
+        assert _draw_op(_FixedDraw(value)) == op
 
 
 class TestGenerateCorpus:
