@@ -1,12 +1,12 @@
-"""Word-list lexicon with optional frequencies."""
+"""Word-list lexicon with optional frequencies, held as one word→frequency table."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, KeysView
 
 from gectools.errors import EmptyInput, InvalidEncoding, MalformedLexicon
 from gectools.text import ASCII_DIGITS
@@ -53,34 +53,68 @@ def _check_block(block: list[tuple[str, str, str]], first_line_no: int, path) ->
 
 @dataclass(frozen=True)
 class Lexicon:
-    """A case-insensitive word list; words are stored lowercased."""
+    """A case-insensitive word list with frequencies, held as one table.
 
-    words: frozenset[str]
-    frequencies: dict[str, int] = field(default_factory=dict)
+    frequencies maps every lowercased word to its summed frequency (0
+    when none was given); it is the only copy of the words.  words is a
+    read-only view of its keys, which supports membership, iteration
+    and set operations.
+    """
+
+    frequencies: dict[str, int]
 
     def __post_init__(self):
-        if not self.words:
+        if not self.frequencies:
             raise ValueError("lexicon must contain at least one word")
+
+    @property
+    def words(self) -> KeysView[str]:
+        return self.frequencies.keys()
 
     @classmethod
     def from_words(cls, words: Iterable[str], frequencies: dict[str, int] | None = None) -> "Lexicon":
-        lowered = frozenset(w.lower() for w in words if w.strip())
-        freqs = {w.lower(): int(c) for w, c in (frequencies or {}).items()}
-        return cls(words=lowered, frequencies=freqs)
+        """A lexicon of words, by from_file's rules.
+
+        Each word is stripped of surrounding whitespace and lowercased;
+        an empty word is skipped, and one that still holds whitespace
+        raises ValueError.  frequencies maps words (stripped and
+        lowercased the same way) to non-negative frequencies, and words
+        that fold to the same lowercased word sum theirs.  A frequency
+        for a word that is not in words, or one below 0, raises
+        ValueError.
+        """
+        table: dict[str, int] = {}
+        for word in words:
+            word = word.strip()
+            if any(ch.isspace() for ch in word):
+                raise ValueError(f"word {word!r} contains whitespace")
+            if word:
+                table[word.lower()] = 0
+        for word, count in (frequencies or {}).items():
+            key = word.strip().lower()
+            if key not in table:
+                raise ValueError(f"frequency given for {word!r}, which is not a word of the lexicon")
+            count = int(count)
+            if count < 0:
+                raise ValueError(f"frequency {count} of {word!r} is negative")
+            table[key] += count
+        return cls(table)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
         """Load a lexicon from a text file.
 
-        One word per line; an optional tab-separated run of ASCII digits
-        after the word is taken as its frequency.  A leading UTF-8 byte
-        order mark is not part of the first word.  Raises InvalidEncoding,
-        MalformedLexicon or EmptyInput for a file that is not UTF-8, has
-        a frequency but no word, a word holding whitespace or a frequency
-        that is not ASCII digits, or holds no word.
+        One word per line, stripped of surrounding whitespace and
+        lowercased; an optional tab-separated run of ASCII digits after
+        the word is taken as its frequency, and the frequencies of lines
+        whose words fold to the same lowercased word sum.  A leading
+        UTF-8 byte order mark is not part of the first word.  Raises
+        InvalidEncoding, MalformedLexicon or EmptyInput for a file that
+        is not UTF-8, has a frequency but no word, a word holding
+        whitespace or a frequency that is not ASCII digits, or holds no
+        word.
         """
-        words: list[str] = []
-        freqs: dict[str, int] = {}
+        table: dict[str, int] = {}
         try:
             with open(path, encoding="utf-8-sig") as fh:
                 first = 1
@@ -90,8 +124,7 @@ class Lexicon:
                             # A frequency with no word passes the block check.
                             _check_line(line_no, word, count, path)
                             continue
-                        word = word.lower()
-                        words.append(word)
+                        freq = 0
                         if count:
                             try:
                                 freq = int(count)
@@ -99,24 +132,24 @@ class Lexicon:
                                 raise MalformedLexicon(
                                     line_no, f"frequency of {len(count)} digits is too long", path
                                 ) from None
-                            freqs[word] = freqs.get(word, 0) + freq
+                        word = word.lower()
+                        table[word] = table.get(word, 0) + freq
                     first += len(block)
         except UnicodeDecodeError as exc:
             raise InvalidEncoding(path, exc) from exc
-        if not words:
+        if not table:
             raise EmptyInput(f"{path}: lexicon has no words")
-        # Words are lowercased, stripped and non-empty already.
-        return cls(words=frozenset(words), frequencies=freqs)
+        return cls(table)
 
     def __contains__(self, word: str) -> bool:
-        return word.lower() in self.words
+        return word.lower() in self.frequencies
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.frequencies)
 
     def freq(self, word: str) -> int:
         return self.frequencies.get(word.lower(), 0)
 
     @cached_property
     def sorted_words(self) -> tuple[str, ...]:
-        return tuple(sorted(self.words))
+        return tuple(sorted(self.frequencies))

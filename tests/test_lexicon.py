@@ -1,0 +1,124 @@
+"""The lexicon: one word→frequency table, built the same way from a file
+or from words in memory."""
+
+import random
+import sys
+import tracemalloc
+from collections.abc import KeysView
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gectools.lexicon import Lexicon
+from gectools.synth import ConfusionProvider
+
+from tests.conftest import make_words
+
+BOM = "\ufeff"
+
+# A lexicon word holds no whitespace and is valid UTF-8.  The small
+# alphabet makes words that fold to the same lowercased word.
+WORD_CHARS = st.characters(blacklist_categories=("Cs",)).filter(lambda ch: not ch.isspace())
+WORDS = st.one_of(st.text("aAbBăĂ", min_size=1, max_size=3), st.text(WORD_CHARS, min_size=1, max_size=4))
+INDENTS = st.sampled_from(["", " ", "  ", "\xa0", "\u3000 "])
+
+
+def write_lexicon(path, entries, bom):
+    """entries: (indent, word, frequency or None), one line each."""
+    lines = [indent + word + ("" if freq is None else f"\t{freq}") for indent, word, freq in entries]
+    path.write_text((BOM if bom else "") + "\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestOneTable:
+    def test_words_is_a_read_only_view_of_the_table(self):
+        lex = Lexicon.from_words(["Casa", "masa"], {"casa": 3})
+        assert lex.frequencies == {"casa": 3, "masa": 0}
+        assert isinstance(lex.words, KeysView)
+        assert lex.words == {"casa", "masa"}
+        assert "CASA" in lex and "ceva" not in lex
+        assert len(lex) == 2 and lex.freq("Masa") == 0 and lex.freq("ceva") == 0
+        assert lex.sorted_words == ("casa", "masa")
+        with pytest.raises(AttributeError):
+            lex.words = frozenset({"ceva"})
+
+    def test_an_empty_lexicon_is_refused(self):
+        with pytest.raises(ValueError, match="at least one word"):
+            Lexicon.from_words(["", "  "])
+
+
+class TestFromWordsRules:
+    def test_words_are_stripped_and_whitespace_inside_is_refused(self):
+        lex = Lexicon.from_words([" casa", "masa\t", "", "   "])
+        assert lex.frequencies == {"casa": 0, "masa": 0}
+        # The confusion sets hold the stripped words.
+        assert ConfusionProvider(lex).confusion_set("casa") == ["masa"]
+        with pytest.raises(ValueError, match="'a b'"):
+            Lexicon.from_words(["casa", "a b"])
+
+    def test_frequencies_fold_and_sum_as_in_a_file(self, tmp_path):
+        lex = Lexicon.from_words(["Casa", "casa", "masa"], {"Casa": 3, "casa": 2})
+        assert lex.freq("casa") == 5
+        path = tmp_path / "lex.txt"
+        write_lexicon(path, [("", "Casa", 3), ("", "casa", 2), ("", "masa", None)], bom=False)
+        assert Lexicon.from_file(path) == lex
+
+    def test_a_frequency_for_an_unlisted_word_is_refused(self):
+        with pytest.raises(ValueError, match="'ceva'"):
+            Lexicon.from_words(["casa"], {"ceva": 4})
+
+    def test_a_negative_frequency_is_refused(self):
+        with pytest.raises(ValueError, match="negative"):
+            Lexicon.from_words(["casa"], {"casa": -1})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.lists(st.tuples(INDENTS, WORDS, st.none() | st.integers(0, 10**6)), min_size=1, max_size=12),
+    bom=st.booleans(),
+)
+def test_from_file_equals_from_words(tmp_path_factory, entries, bom):
+    path = tmp_path_factory.mktemp("lex") / "lex.txt"
+    write_lexicon(path, entries, bom)
+    frequencies: dict[str, int] = {}
+    for indent, word, freq in entries:
+        if freq is not None:
+            frequencies[indent + word] = frequencies.get(indent + word, 0) + freq
+    from_file = Lexicon.from_file(path)
+    from_words = Lexicon.from_words([indent + word for indent, word, _ in entries], frequencies)
+    assert list(from_file.frequencies.items()) == list(from_words.frequencies.items())
+
+
+class TestLexiconMemory:
+    def test_retained_memory_is_the_table(self, tmp_path):
+        # Each word is held once, as a key of the frequency table: what a
+        # load retains is the table, its keys, the frequencies that are
+        # not the interpreter's cached small ints, and the instance.  The
+        # slack is one free list of 3-tuples (the interpreter keeps up to
+        # 2,000 freed ones), as the loader partitions each line into one;
+        # a warm-up load imports the file's codec first.  A second copy
+        # of the words, such as a set of them (about 0.5 MB for these 10k
+        # words), fails the bound.  tracemalloc counts the same
+        # allocations on every run, so this is a count, not a timing.
+        rng = random.Random(5)
+        words = make_words(10_000)
+        path = tmp_path / "lex.txt"
+        path.write_text("".join(f"{w}\t{rng.randint(0, 100_000)}\n" for w in words), encoding="utf-8")
+        Lexicon.from_file(path)
+        tracemalloc.start()
+        try:
+            lex = Lexicon.from_file(path)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = lex.frequencies
+        expected = (
+            sys.getsizeof(table)
+            + sum(map(sys.getsizeof, table))
+            + sum(sys.getsizeof(v) for v in table.values() if not -5 <= v <= 256)
+            + sys.getsizeof(lex)
+            + sys.getsizeof(vars(lex))
+        )
+        free_list = 2000 * sys.getsizeof((0, 0, 0))
+        assert len(lex) == 10_000
+        assert size <= expected + free_list, (size, expected)

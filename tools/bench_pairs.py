@@ -17,10 +17,10 @@ parent's median by more than the bound) or "unresolved" (the parent's
 quartile spread, relative to its median, exceeds the bound, and not
 every run of the change reads better than every run of the parent).
 Then it lists every output file both sides digest whose sha256 differs
-in any run, and the failed items of each side.  Compare checkouts whose
-paths have the same length and that hold no __pycache__ directory under
-src/: compiled bytecode moves peak_rss_mb by about 0.3 MB, so the tool
-refuses to run when either checkout has one.
+in any run, and the failed items of each side.  It refuses to run when
+either checkout holds a __pycache__ directory under src/ (compiled
+bytecode moves peak_rss_mb by about 0.3 MB) or when the two resolved
+paths differ in length (tools/checkouts.py): compare sibling copies.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import run  # noqa: E402  (perfbench/run.py)
+from checkouts import check_checkouts  # noqa: E402  (tools/checkouts.py)
 
 
 def _bench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict[str, str]]:
@@ -88,10 +89,7 @@ def main() -> int:
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
     sides = (args.parent, args.change)
-    for side in sides:
-        cached = next((side / "src").rglob("__pycache__"), None)
-        if cached is not None:
-            raise SystemExit(f"error: {cached}: compiled bytecode changes peak_rss_mb; remove it before comparing")
+    check_checkouts(sides)
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
     failed = {side: 0 for side in sides}
     attempted = {side: 0 for side in sides}

@@ -11,10 +11,11 @@ PYTHONPATH=CHECKOUT/src and PYTHONHASHSEED=0 and PYTHONDONTWRITEBYTECODE=1
 as perfbench sets them, so every gectools module is compiled from source
 on each start.  PYTHONDONTWRITEBYTECODE stops only the writing of
 bytecode, not its reading, so the tool refuses to run when a checkout
-holds a __pycache__ directory under src/.  A `python -c pass` process is
-timed too, each round, as the interpreter's own start.  Prints the
-median wall time of each stage and of a whole round, per checkout, in
-milliseconds.  Compare checkouts whose paths have the same length.
+holds a __pycache__ directory under src/; it also refuses checkouts
+whose resolved paths differ in length (tools/checkouts.py).  A `python
+-c pass` process is timed too, each round, as the interpreter's own
+start.  Prints the median wall time of each stage and of a whole round,
+per checkout, in milliseconds.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import run  # noqa: E402  (perfbench/run.py)
+from checkouts import check_checkouts  # noqa: E402  (tools/checkouts.py)
 import worker  # noqa: E402  (perfbench/worker.py)
 
 
@@ -51,10 +53,9 @@ def main() -> int:
     ap.add_argument("--rounds", type=int, default=7)
     ap.add_argument("checkouts", nargs="+", type=lambda path: Path(path).resolve())
     args = ap.parse_args()
-    for checkout in args.checkouts:
-        cached = next((checkout / "src").rglob("__pycache__"), None)
-        if cached is not None:
-            raise SystemExit(f"error: {cached}: compiled bytecode skips compiling from source; remove it before timing")
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+    check_checkouts(args.checkouts)
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)

@@ -17,10 +17,10 @@ equals the last one's: the stage that sets the peak.
 
 The measuring code shifts the heap's layout, so the peaks read about
 1 MB below perfbench's peak_rss_mb of the same checkout: compare stages
-and checkouts with each other, not with perfbench.  Compare checkouts
-whose paths have the same length and that hold no __pycache__ directory
-under src/: compiled bytecode moves peak RSS by about 0.3 MB, so the
-tool refuses to run when a checkout has one.
+and checkouts with each other, not with perfbench.  The tool refuses
+to run when a checkout holds a __pycache__ directory under src/
+(compiled bytecode moves peak RSS by about 0.3 MB) or when the
+checkouts' resolved paths differ in length (tools/checkouts.py).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import run  # noqa: E402  (perfbench/run.py)
+from checkouts import check_checkouts  # noqa: E402  (tools/checkouts.py)
 
 # Runs in the fresh interpreter: argv is the work directory, the
 # workload and the checkout's perfbench directory.  Prints one JSON list
@@ -100,10 +101,7 @@ def main() -> int:
     args = ap.parse_args()
     if args.runs < 1:
         ap.error("--runs must be at least 1")
-    for checkout in args.checkouts:
-        cached = next((checkout / "src").rglob("__pycache__"), None)
-        if cached is not None:
-            raise SystemExit(f"error: {cached}: compiled bytecode changes peak RSS; remove it before measuring")
+    check_checkouts(args.checkouts)
 
     print(f"workload {args.workload} seed {args.seed} shard 0: peak/current RSS in MB after each stage")
     with tempfile.TemporaryDirectory() as tmp:
