@@ -18,13 +18,15 @@ Rules 4 and 5 apply only to single-token edits; the POS labels use the
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from gectools.align import Edit, extract_edits
 from gectools.errors import MissingAnnotations
 from gectools.kernels import lcs_length
-from gectools.lexicon import Lexicon
 from gectools.text import Sentence, Token
+
+if TYPE_CHECKING:  # annotations only: commands without a lexicon never load it
+    from gectools.lexicon import Lexicon
 
 # Tags that may appear in POS:<T> and POS:<T>:FORM labels.
 POS_TAGS = frozenset(
@@ -67,11 +69,9 @@ def classify_edit(edit: Edit, orig: Sentence, corr: Sentence, lexicon: Lexicon) 
     if "".join(o_lower) == "".join(c_lower):
         return "ORTH"
     if len(o_toks) == 1 and len(c_toks) == 1:
-        if o_toks[0].form not in lexicon and char_overlap_ratio(o_lower[0], c_lower[0]) > 0.5:
-            return "SPELL"
-
-    if len(o_toks) == 1 and len(c_toks) == 1:
         o_tok, c_tok = o_toks[0], c_toks[0]
+        if o_tok.form not in lexicon and char_overlap_ratio(o_lower[0], c_lower[0]) > 0.5:
+            return "SPELL"
         if o_tok.lemma is None or c_tok.lemma is None or o_tok.upos is None or c_tok.upos is None:
             raise MissingAnnotations(
                 f"edit {edit.o_text!r} -> {edit.c_text!r} needs lemma and UPOS on both tokens"

@@ -31,20 +31,13 @@ import sys
 import warnings
 from typing import IO, Iterator
 
-# gectools.lm and gectools.synth are imported by the commands that use
-# them.  The names extract, score and stats call are imported here:
-# perfbench/tracing.py wraps them as attributes of this module.
+# gectools.lexicon, gectools.lm and gectools.synth are imported by the
+# commands that use them.  The names extract, score and stats call are
+# imported here: perfbench/tracing.py wraps them as attributes of this
+# module.
 from gectools.align import extract_edits
 from gectools.classify import classify_all
-from gectools.errors import (
-    DegenerateCounts,
-    GecToolsError,
-    InvalidEncoding,
-    LengthMismatch,
-    MalformedLine,
-    SentenceMismatch,
-)
-from gectools.lexicon import Lexicon
+from gectools.errors import DegenerateCounts, GecToolsError, LengthMismatch, SentenceMismatch, naming
 from gectools.m2 import read_m2, write_m2
 from gectools.score import corpus_stats, format_stats, score_corpus
 from gectools.text import parse_conllu, render, tokenize
@@ -67,13 +60,10 @@ class _Parser(argparse.ArgumentParser):
 @contextlib.contextmanager
 def _open_in(path: str) -> Iterator[IO[str]]:
     """Input file ('-' for stdin), read as strict UTF-8; a leading
-    byte order mark is skipped.
-
-    A decode error, or a MalformedLine without a path, raised while the
-    file is read is raised again naming the file.
+    byte order mark is skipped.  Errors raised while the file is read
+    name it, by errors.naming.
     """
-    name = "<stdin>" if path == "-" else path
-    try:
+    with naming("<stdin>" if path == "-" else path):
         if path != "-":
             with open(path, encoding="utf-8-sig") as fh:
                 yield fh
@@ -87,12 +77,6 @@ def _open_in(path: str) -> Iterator[IO[str]]:
                 yield stdin
             finally:
                 stdin.detach()
-    except UnicodeDecodeError as exc:
-        raise InvalidEncoding(name, exc) from exc
-    except MalformedLine as exc:
-        if exc.path is not None:
-            raise
-        raise type(exc)(exc.line_no, exc.message, name) from exc
 
 
 def _create_beside(target: str) -> tuple[int, str]:
@@ -164,6 +148,8 @@ def cmd_extract(args) -> int:
     pairs = _pair(args.orig, _read_sentences(args.orig, args.conllu),
                   args.corr, _read_sentences(args.corr, args.conllu))
     if args.lexicon:
+        from gectools.lexicon import Lexicon
+
         edit_lists = classify_all(pairs, Lexicon.from_file(args.lexicon))
     else:
         edit_lists = [extract_edits(orig, corr) for orig, corr in pairs]
@@ -250,6 +236,7 @@ def cmd_filter(args) -> int:
 
 def cmd_synth(args) -> int:
     from gectools import synth as synth_mod
+    from gectools.lexicon import Lexicon
 
     filter_cfg = _filter_config(args)
     synth_cfg = synth_mod.SynthConfig(

@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package."""
 
+import contextlib
+
 
 class GecToolsError(Exception):
     """Base class for all errors raised by this package."""
@@ -26,6 +28,20 @@ class MalformedLine(GecToolsError):
         self.line_no = line_no
         self.message = message
         self.path = path
+
+
+@contextlib.contextmanager
+def naming(path):
+    """Raise a decode error in the with-block as InvalidEncoding, and a
+    MalformedLine without a path as its own class with path."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise InvalidEncoding(path, exc) from exc
+    except MalformedLine as exc:
+        if exc.path is not None:
+            raise
+        raise type(exc)(exc.line_no, exc.message, path) from exc
 
 
 class MalformedM2(MalformedLine):

@@ -6,28 +6,29 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, KeysView
+from types import MappingProxyType
+from typing import Iterable, KeysView, Mapping
 
-from gectools.errors import EmptyInput, InvalidEncoding, MalformedLexicon
+from gectools.errors import EmptyInput, MalformedLexicon, naming
 from gectools.text import ASCII_DIGITS
 
 # Lexicon lines are read and checked this many at a time.
 _BLOCK = 1024
 
 
-def _check_line(line_no: int, word: str, count: str, path) -> None:
+def _check_line(line_no: int, word: str, count: str) -> None:
     """Raise MalformedLexicon if the line, split at its first tab, has a
     frequency but no word, a word holding whitespace, or a frequency
     that is not ASCII digits."""
     if not word and count:
-        raise MalformedLexicon(line_no, f"frequency {count!r} has no word", path)
+        raise MalformedLexicon(line_no, f"frequency {count!r} has no word")
     if any(ch.isspace() for ch in word):
-        raise MalformedLexicon(line_no, f"word {word!r} contains whitespace", path)
+        raise MalformedLexicon(line_no, f"word {word!r} contains whitespace")
     if count and not ASCII_DIGITS.fullmatch(count):
-        raise MalformedLexicon(line_no, f"frequency {count!r} is not ASCII digits", path)
+        raise MalformedLexicon(line_no, f"frequency {count!r} is not ASCII digits")
 
 
-def _check_block(block: list[tuple[str, str, str]], first_line_no: int, path) -> list[tuple[str, str, str]]:
+def _check_block(block: list[tuple[str, str, str]], first_line_no: int) -> list[tuple[str, str, str]]:
     """The block of right-stripped lines, each split at its first tab,
     with leading whitespace stripped from each word.
 
@@ -46,7 +47,7 @@ def _check_block(block: list[tuple[str, str, str]], first_line_no: int, path) ->
     checked = []
     for line_no, (word, tab, count) in enumerate(block, first_line_no):
         word = word.lstrip()
-        _check_line(line_no, word, count, path)
+        _check_line(line_no, word, count)
         checked.append((word, tab, count))
     return checked
 
@@ -56,16 +57,23 @@ class Lexicon:
     """A case-insensitive word list with frequencies, held as one table.
 
     frequencies maps every lowercased word to its summed frequency (0
-    when none was given); it is the only copy of the words.  words is a
+    when none was given); it is the only copy of the words, held behind
+    a read-only proxy, so writing to it raises TypeError.  words is a
     read-only view of its keys, which supports membership, iteration
     and set operations.
     """
 
-    frequencies: dict[str, int]
+    frequencies: Mapping[str, int]
 
     def __post_init__(self):
         if not self.frequencies:
             raise ValueError("lexicon must contain at least one word")
+        # A read-only view, not a copy: the lexicon holds each word once.
+        object.__setattr__(self, "frequencies", MappingProxyType(self.frequencies))
+
+    def __reduce__(self):
+        # A proxy does not pickle; the plain table it shows does.
+        return type(self), (dict(self.frequencies),)
 
     @property
     def words(self) -> KeysView[str]:
@@ -112,31 +120,28 @@ class Lexicon:
         InvalidEncoding, MalformedLexicon or EmptyInput for a file that
         is not UTF-8, has a frequency but no word, a word holding
         whitespace or a frequency that is not ASCII digits, or holds no
-        word.
+        word; each names path (errors.naming).
         """
         table: dict[str, int] = {}
-        try:
-            with open(path, encoding="utf-8-sig") as fh:
-                first = 1
-                while block := [line.rstrip().partition("\t") for line in islice(fh, _BLOCK)]:
-                    for line_no, (word, _, count) in enumerate(_check_block(block, first, path), first):
-                        if not word:
-                            # A frequency with no word passes the block check.
-                            _check_line(line_no, word, count, path)
-                            continue
-                        freq = 0
-                        if count:
-                            try:
-                                freq = int(count)
-                            except ValueError:  # more digits than int() converts
-                                raise MalformedLexicon(
-                                    line_no, f"frequency of {len(count)} digits is too long", path
-                                ) from None
-                        word = word.lower()
-                        table[word] = table.get(word, 0) + freq
-                    first += len(block)
-        except UnicodeDecodeError as exc:
-            raise InvalidEncoding(path, exc) from exc
+        with naming(path), open(path, encoding="utf-8-sig") as fh:
+            first = 1
+            while block := [line.rstrip().partition("\t") for line in islice(fh, _BLOCK)]:
+                for line_no, (word, _, count) in enumerate(_check_block(block, first), first):
+                    if not word:
+                        # A frequency with no word passes the block check.
+                        _check_line(line_no, word, count)
+                        continue
+                    freq = 0
+                    if count:
+                        try:
+                            freq = int(count)
+                        except ValueError:  # more digits than int() converts
+                            raise MalformedLexicon(
+                                line_no, f"frequency of {len(count)} digits is too long"
+                            ) from None
+                    word = word.lower()
+                    table[word] = table.get(word, 0) + freq
+                first += len(block)
         if not table:
             raise EmptyInput(f"{path}: lexicon has no words")
         return cls(table)

@@ -58,7 +58,7 @@ from itertools import chain, groupby, islice, repeat
 from typing import IO, Iterable, Iterator, Sequence
 
 from gectools.errors import DegenerateCounts, EmptyInput, MalformedArpa, MalformedLine, NoFiniteScore
-from gectools.text import ASCII_DIGITS, Sentence, Token
+from gectools.text import ASCII_DIGITS, Sentence, Token, blocks
 
 SOS = "<s>"
 EOS = "</s>"
@@ -552,31 +552,26 @@ def rerank(
     return best
 
 
+def _hypothesis(line_no: int, line: str) -> Hypothesis:
+    text, sep, score_str = line.rpartition("\t")
+    if not sep:
+        raise MalformedLine(line_no, "expected 'sentence<TAB>score'")
+    score = _decimal(score_str)
+    if score is None:
+        raise MalformedLine(line_no, f"bad score: {score_str!r}")
+    return Hypothesis(sentence=Sentence(tuple(Token(f) for f in text.split())), model_score=score)
+
+
 def read_nbest(lines: Iterable[str]) -> Iterator[list[Hypothesis]]:
-    """Parse n-best lists: "tokens<TAB>score" lines, blank-line separated.
+    """Parse n-best lists: "tokens<TAB>score" lines, each block of
+    text.blocks(lines) one group.
 
     Sentences are split on whitespace (decoder output is assumed to be
     tokenized already).  A score is a finite decimal number in ASCII
     digits, with optional sign, point and exponent.  Each group is
     yielded as soon as the blank line (or the end of lines) that ends it
     is read, so a caller can finish a group before the next one is
-    parsed; a malformed line raises when the iteration reaches it.
+    parsed; a malformed line raises when the iteration reaches its group.
     """
-    current: list[Hypothesis] = []
-    for line_no, raw_line in enumerate(lines, start=1):
-        line = raw_line.rstrip("\n")
-        if not line.strip():
-            if current:
-                yield current
-                current = []
-            continue
-        text, sep, score_str = line.rpartition("\t")
-        if not sep:
-            raise MalformedLine(line_no, "expected 'sentence<TAB>score'")
-        score = _decimal(score_str)
-        if score is None:
-            raise MalformedLine(line_no, f"bad score: {score_str!r}")
-        tokens = tuple(Token(f) for f in text.split())
-        current.append(Hypothesis(sentence=Sentence(tokens), model_score=score))
-    if current:
-        yield current
+    for block in blocks(lines):
+        yield [_hypothesis(line_no, line) for line_no, line in block]

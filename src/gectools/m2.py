@@ -17,7 +17,7 @@ from typing import IO, Iterable
 from gectools.align import Edit
 from gectools.errors import MalformedM2, SeveralAnnotators
 from gectools.score import UNTYPED
-from gectools.text import Sentence, Token, render
+from gectools.text import Sentence, Token, blocks, render
 
 NOOP_LINE = "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0"
 # A span bound: ASCII digits, signed for the noop line's -1.
@@ -39,9 +39,10 @@ def write_m2(sentence: Sentence, edits: Iterable[Edit], out: IO[str]) -> None:
     out.write("\n")
 
 
-def _build_edits(
-    raw: list[tuple[int, int, str, str]], tokens: tuple[Token, ...], s_line_no: int
-) -> list[Edit]:
+def _sentence_edits(
+    tokens: tuple[Token, ...], raw: list[tuple[int, int, str, str]], s_line_no: int
+) -> tuple[Sentence, list[Edit]]:
+    """(Sentence(tokens), its edits from raw (start, end, label, correction) tuples)."""
     raw = sorted(raw, key=lambda r: (r[0], r[1]))
     edits: list[Edit] = []
     delta = 0
@@ -67,36 +68,27 @@ def _build_edits(
                 etype=label,
             )
         )
-    return edits
+    return Sentence(tokens), edits
 
 
 def read_m2(lines: Iterable[str]) -> list[tuple[Sentence, list[Edit]]]:
-    """Parse an M2 stream into (sentence, edits) pairs."""
+    """Parse an M2 stream, split by text.blocks, into (sentence, edits)
+    pairs.  An "S" line also starts a new sentence; a sentence's edits
+    are built and checked when the next "S" line or its block's end is
+    reached."""
     results: list[tuple[Sentence, list[Edit]]] = []
-    tokens: tuple[Token, ...] | None = None
-    raw_edits: list[tuple[int, int, str, str]] = []
-    s_line_no = 0
     annotator: tuple[str, int] | None = None  # the first id seen, and its line
-
-    def flush():
-        nonlocal tokens, raw_edits
-        if tokens is not None:
-            results.append((Sentence(tokens), _build_edits(raw_edits, tokens, s_line_no)))
-        tokens = None
-        raw_edits = []
-
-    for line_no, raw_line in enumerate(lines, start=1):
-        line = raw_line.rstrip("\n")
-        if not line.strip():
-            flush()
-            continue
-        if line == "S" or line.startswith("S "):
-            flush()
-            tokens = tuple(Token(f) for f in line[2:].split())
-            s_line_no = line_no
-            continue
-        if line.startswith("A "):
-            if tokens is None:
+    for block in blocks(lines):
+        pending = None  # the sentence being read: (tokens, raw edits, "S" line number)
+        for line_no, line in block:
+            if line == "S" or line.startswith("S "):
+                if pending is not None:
+                    results.append(_sentence_edits(*pending))
+                pending = (tuple(Token(f) for f in line[2:].split()), [], line_no)
+                continue
+            if not line.startswith("A "):
+                raise MalformedM2(line_no, f"unrecognized line: {line!r}")
+            if pending is None:
                 raise MalformedM2(line_no, "annotation line before any sentence line")
             fields = line[2:].split("|||")
             if len(fields) < 6:
@@ -120,12 +112,8 @@ def read_m2(lines: Iterable[str]) -> list[tuple[Sentence, list[Edit]]]:
                     f"{annotator[1]}; files with several annotators are not supported",
                 )
             label, correction = fields[1], fields[2]
-            if label == "noop":
-                continue
-            if correction == "-NONE-":
-                correction = ""
-            raw_edits.append((start, end, label, correction))
-            continue
-        raise MalformedM2(line_no, f"unrecognized line: {line!r}")
-    flush()
+            if label != "noop":
+                pending[1].append((start, end, label, "" if correction == "-NONE-" else correction))
+        if pending is not None:
+            results.append(_sentence_edits(*pending))
     return results

@@ -116,8 +116,25 @@ def _field(value: str) -> str | None:
     return None if value == "_" else value
 
 
+def blocks(lines: Iterable[str]) -> Iterator[list[tuple[int, str]]]:
+    """Each run of non-blank lines as (line number from 1, line without
+    its newline) pairs; a line of only whitespace is blank.  A block is
+    yielded as soon as the line (or the end of lines) ending it is read."""
+    block: list[tuple[int, str]] = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if line.strip():
+            block.append((line_no, line))
+        elif block:
+            yield block
+            block = []
+    if block:
+        yield block
+
+
 def parse_conllu(lines: Iterable[str]) -> list[Sentence]:
-    """Parse CoNLL-U input into sentences.
+    """Parse CoNLL-U input into sentences, one per block of blocks(lines)
+    that holds a token line.
 
     Only the FORM, LEMMA and UPOS columns are retained.  Word ids run
     1, 2, ... within a sentence; multiword range lines (id "3-4") and
@@ -125,42 +142,32 @@ def parse_conllu(lines: Iterable[str]) -> list[Sentence]:
     A "# sent_id = ..." comment becomes the sentence's source_id.
     """
     sentences: list[Sentence] = []
-    tokens: list[Token] = []
-    source_id: str | None = None
-
-    def flush():
-        nonlocal tokens, source_id
+    for block in blocks(lines):
+        tokens: list[Token] = []
+        source_id: str | None = None
+        for line_no, line in block:
+            if line.startswith("#"):
+                comment = line[1:].strip()
+                if comment.startswith("sent_id"):
+                    _, _, value = comment.partition("=")
+                    source_id = value.strip() or None
+                continue
+            cols = line.split("\t")
+            if len(cols) != 10:
+                raise MalformedLine(line_no, f"expected 10 tab-separated columns, got {len(cols)}")
+            token_id, form, lemma, upos = cols[0], cols[1], cols[2], cols[3]
+            if token_id != str(len(tokens) + 1):
+                first, sep, last = token_id.partition("-" if "-" in token_id else ".")
+                if sep and ASCII_DIGITS.fullmatch(first) and ASCII_DIGITS.fullmatch(last):
+                    continue
+                raise MalformedLine(line_no, f"bad token id: {token_id!r}, expected {len(tokens) + 1}")
+            if not form or form == "_":
+                raise MalformedLine(line_no, f"bad token form: {form!r}")
+            try:
+                token = Token(form=form, lemma=_field(lemma), upos=_field(upos))
+            except ValueError as exc:
+                raise MalformedLine(line_no, str(exc)) from None
+            tokens.append(token)
         if tokens:
             sentences.append(Sentence(tuple(tokens), source_id=source_id))
-        tokens = []
-        source_id = None
-
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            flush()
-            continue
-        if line.startswith("#"):
-            comment = line[1:].strip()
-            if comment.startswith("sent_id"):
-                _, _, value = comment.partition("=")
-                source_id = value.strip() or None
-            continue
-        cols = line.split("\t")
-        if len(cols) != 10:
-            raise MalformedLine(line_no, f"expected 10 tab-separated columns, got {len(cols)}")
-        token_id, form, lemma, upos = cols[0], cols[1], cols[2], cols[3]
-        if token_id != str(len(tokens) + 1):
-            first, sep, last = token_id.partition("-" if "-" in token_id else ".")
-            if sep and ASCII_DIGITS.fullmatch(first) and ASCII_DIGITS.fullmatch(last):
-                continue
-            raise MalformedLine(line_no, f"bad token id: {token_id!r}, expected {len(tokens) + 1}")
-        if not form or form == "_":
-            raise MalformedLine(line_no, f"bad token form: {form!r}")
-        try:
-            token = Token(form=form, lemma=_field(lemma), upos=_field(upos))
-        except ValueError as exc:
-            raise MalformedLine(line_no, str(exc)) from None
-        tokens.append(token)
-    flush()
     return sentences

@@ -40,7 +40,8 @@ def test_cli_loads_neither_lm_nor_synth():
     [
         (["synth", str(INPUT / "corpus.txt"), "--lexicon", str(INPUT / "lexicon.txt"), "--seed", "1",
           "--jobs", "1"], {"multiprocessing", "gectools.lm"}),
-        (["lm-train", str(INPUT / "train.txt"), "--order", "2"], {"gectools.synth", "multiprocessing"}),
+        (["lm-train", str(INPUT / "train.txt"), "--order", "2"],
+         {"gectools.synth", "gectools.lexicon", "multiprocessing"}),
         (["extract", str(INPUT / "wrong.txt"), str(INPUT / "hyp.txt")],
          {"gectools.lm", "gectools.synth", "multiprocessing"}),
     ],

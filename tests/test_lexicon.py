@@ -1,15 +1,19 @@
 """The lexicon: one word→frequency table, built the same way from a file
 or from words in memory."""
 
+import gc
+import pickle
 import random
 import sys
 import tracemalloc
 from collections.abc import KeysView
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gectools.errors import InvalidEncoding, MalformedLexicon
 from gectools.lexicon import Lexicon
 from gectools.synth import ConfusionProvider
 
@@ -42,9 +46,44 @@ class TestOneTable:
         with pytest.raises(AttributeError):
             lex.words = frozenset({"ceva"})
 
+    def test_the_table_is_read_only(self):
+        lex = Lexicon.from_words(["casa", "masa"])
+        with pytest.raises(TypeError):
+            lex.frequencies["vasa"] = 3
+        with pytest.raises(TypeError):
+            del lex.frequencies["casa"]
+        assert "vasa" not in lex and len(lex) == 2
+
+    def test_lexicon_and_provider_survive_pickling(self):
+        # synth --jobs hands the provider to a pool, which pickles it
+        # under the spawn start method.
+        lex = Lexicon.from_words(["casa", "masa", "vasa", "cast", "mare"], {"casa": 3, "mare": 7})
+        provider = ConfusionProvider(lex, max_distance=2)
+        lex_copy, provider_copy = pickle.loads(pickle.dumps((lex, provider)))
+        assert list(lex_copy.frequencies.items()) == list(lex.frequencies.items())
+        assert lex_copy == lex
+        with pytest.raises(TypeError):
+            lex_copy.frequencies["vasa"] = 3
+        assert list(provider_copy.lexicon.frequencies.items()) == list(lex.frequencies.items())
+        for word in ["casa", "masa", "Cast", "mere", "x"]:
+            assert provider_copy.confusion_set(word) == provider.confusion_set(word)
+
     def test_an_empty_lexicon_is_refused(self):
         with pytest.raises(ValueError, match="at least one word"):
             Lexicon.from_words(["", "  "])
+
+
+class TestFileErrors:
+    def test_errors_name_the_file_and_dash_is_a_file_name(self, tmp_path, monkeypatch):
+        # "-" is a file here, not standard input.
+        monkeypatch.chdir(tmp_path)
+        Path("-").write_bytes("casa\ncaf\xe9\n".encode("latin-1"))
+        with pytest.raises(InvalidEncoding, match=r"^-: not valid UTF-8 \(byte 0xe9\)$"):
+            Lexicon.from_file("-")
+        Path("-").write_text("casa\nmasa\tx\n", encoding="utf-8")
+        with pytest.raises(MalformedLexicon, match=r"^-: line 2: frequency 'x' is not ASCII digits$") as err:
+            Lexicon.from_file("-")
+        assert (err.value.path, err.value.line_no) == ("-", 2)
 
 
 class TestFromWordsRules:
@@ -111,9 +150,11 @@ class TestLexiconMemory:
             size, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        table = lex.frequencies
+        proxy = lex.frequencies
+        (table,) = gc.get_referents(proxy)  # the dict behind the read-only proxy
         expected = (
             sys.getsizeof(table)
+            + sys.getsizeof(proxy)
             + sum(map(sys.getsizeof, table))
             + sum(sys.getsizeof(v) for v in table.values() if not -5 <= v <= 256)
             + sys.getsizeof(lex)

@@ -81,6 +81,33 @@ class TestRead:
         (_, edits), = read_m2(io.StringIO(text))
         assert edits[0].c_text == "b"
 
+    def test_whitespace_only_line_separates_sentences(self):
+        text = "S a\nA 0 1|||R|||b|||REQUIRED|||-NONE-|||0\n \t\r\nS c\n" + NOOP_LINE + "\n"
+        result = read_m2(io.StringIO(text))
+        assert [(s.forms, [e.c_text for e in edits]) for s, edits in result] == [(["a"], ["b"]), (["c"], [])]
+        # It ends the sentence: an A line after it has no S line above it.
+        with pytest.raises(MalformedM2, match="^line 3: annotation line before any sentence line$"):
+            read_m2(io.StringIO("S a\n  \nA 0 1|||R|||b|||REQUIRED|||-NONE-|||0\n"))
+
+    def test_an_s_line_starts_a_new_sentence_within_a_block(self):
+        text = (
+            "S a b\nA 0 1|||R|||x|||REQUIRED|||-NONE-|||0\n"
+            "S c\nA 0 1|||R|||y z|||REQUIRED|||-NONE-|||0\n\n"
+        )
+        (first, first_edits), (second, second_edits) = read_m2(io.StringIO(text))
+        assert (first.forms, second.forms) == (["a", "b"], ["c"])
+        assert [(e.o_span, e.c_span, e.c_text) for e in first_edits] == [((0, 1), (0, 1), "x")]
+        # The corrected spans of each sentence start from its own tokens.
+        assert [(e.o_span, e.c_span, e.c_text) for e in second_edits] == [((0, 1), (0, 2), "y z")]
+
+    def test_edits_are_checked_when_the_next_s_line_is_read(self):
+        # Sentence 1's edit is out of range; that is found at the S line
+        # of line 3, before the stray line 4 is reached.
+        text = "S a\nA 5 6|||X|||b|||REQUIRED|||-NONE-|||0\nS b\nfoo\n"
+        with pytest.raises(MalformedM2) as err:
+            read_m2(io.StringIO(text))
+        assert str(err.value) == "line 1: edit span (5, 6) out of range"
+
     @pytest.mark.parametrize(
         "text,fragment",
         [

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gectools.errors import EmptyInput, MalformedLine
-from gectools.text import Sentence, Token, is_punct, parse_conllu, render, tokenize
+from gectools.text import Sentence, Token, blocks, is_punct, parse_conllu, render, tokenize
 from tests.oracles import ref_tokenize
 
 
@@ -194,3 +194,25 @@ class TestParseConllu:
 
     def test_empty_input_gives_no_sentences(self):
         assert parse_conllu(io.StringIO("")) == []
+
+    def test_whitespace_only_line_separates_sentences(self):
+        text = "# sent_id = s1\n1\tcasa\t_\t_\t_\t_\t_\t_\t_\t_\n \t\r\n1\tmasa\t_\t_\t_\t_\t_\t_\t_\t_\n"
+        sents = parse_conllu(io.StringIO(text))
+        assert [(s.forms, s.source_id) for s in sents] == [(["casa"], "s1"), (["masa"], None)]
+
+
+class TestBlocks:
+    def test_blocks_number_their_lines_and_drop_blank_ones(self):
+        lines = ["a\n", " \t\n", "\r\n", "b\r\n", "c", "\n", "\n", "\x1cd\n", "\n"]
+        assert list(blocks(lines)) == [[(1, "a")], [(4, "b\r"), (5, "c")], [(8, "\x1cd")]]
+
+    def test_a_block_is_yielded_before_reading_past_its_blank_line(self):
+        def lines():
+            yield "a\n"
+            yield " \n"
+            raise AssertionError("read past the blank line ending block 1")
+
+        split = blocks(lines())
+        assert next(split) == [(1, "a")]
+        with pytest.raises(AssertionError, match="read past"):
+            next(split)
