@@ -29,6 +29,7 @@ import os
 import shutil
 import sys
 import warnings
+from dataclasses import fields
 from typing import IO, Iterator
 
 # gectools.lexicon, gectools.lm and gectools.synth are imported by the
@@ -194,14 +195,11 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _filter_config(args):
-    from gectools.synth import FilterConfig
-
-    return FilterConfig(
-        min_words=args.min_words,
-        min_diacritic_ratio=args.min_diacritic_ratio,
-        max_foreign_ratio=args.max_foreign_ratio,
-    )
+def _config(cls, args):
+    """The config dataclass cls, each field taken from the flag of its
+    name (--min-words sets min_words).  It reads dataclasses.fields: if
+    the configs stop being dataclasses, this must change with them."""
+    return cls(**{field.name: getattr(args, field.name) for field in fields(cls)})
 
 
 def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
@@ -223,7 +221,7 @@ def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_filter(args) -> int:
     from gectools import synth as synth_mod
 
-    cfg = _filter_config(args)
+    cfg = _config(synth_mod.FilterConfig, args)
     stats = synth_mod.SynthStats()
     with _open_in(args.input) as fh, _open_out(args.output) as out:
         for raw_line in fh:
@@ -238,14 +236,8 @@ def cmd_synth(args) -> int:
     from gectools import synth as synth_mod
     from gectools.lexicon import Lexicon
 
-    filter_cfg = _filter_config(args)
-    synth_cfg = synth_mod.SynthConfig(
-        mean_error_rate=args.mean_error_rate,
-        std_error_rate=args.std_error_rate,
-        confusion_size=args.confusion_size,
-        char_word_rate=args.char_word_rate,
-        seed=args.seed,
-    )
+    filter_cfg = _config(synth_mod.FilterConfig, args)
+    synth_cfg = _config(synth_mod.SynthConfig, args)
     lexicon = Lexicon.from_file(args.lexicon)
     provider = synth_mod.ConfusionProvider(lexicon, max_distance=args.max_distance)
     with _open_in(args.input) as fh, _open_out(args.output) as out:

@@ -58,22 +58,33 @@ class Lexicon:
 
     frequencies maps every lowercased word to its summed frequency (0
     when none was given); it is the only copy of the words, held behind
-    a read-only proxy, so writing to it raises TypeError.  words is a
-    read-only view of its keys, which supports membership, iteration
-    and set operations.
+    a read-only proxy, so writing to it raises TypeError.  Lexicon(table)
+    copies the mapping it is given, so the caller's table stays the
+    caller's; from_file and from_words hand over a dict of their own
+    uncopied.  words is a read-only view of its keys, which supports
+    membership, iteration and set operations.
     """
 
     frequencies: Mapping[str, int]
 
     def __post_init__(self):
-        if not self.frequencies:
+        self._hold(dict(self.frequencies))
+
+    def _hold(self, table: dict[str, int]) -> None:
+        if not table:
             raise ValueError("lexicon must contain at least one word")
-        # A read-only view, not a copy: the lexicon holds each word once.
-        object.__setattr__(self, "frequencies", MappingProxyType(self.frequencies))
+        object.__setattr__(self, "frequencies", MappingProxyType(table))
+
+    @classmethod
+    def _taking(cls, table: dict[str, int]) -> "Lexicon":
+        """A lexicon holding table itself: a dict that no one else holds."""
+        lexicon = object.__new__(cls)
+        lexicon._hold(table)
+        return lexicon
 
     def __reduce__(self):
         # A proxy does not pickle; the plain table it shows does.
-        return type(self), (dict(self.frequencies),)
+        return type(self)._taking, (dict(self.frequencies),)
 
     @property
     def words(self) -> KeysView[str]:
@@ -106,7 +117,7 @@ class Lexicon:
             if count < 0:
                 raise ValueError(f"frequency {count} of {word!r} is negative")
             table[key] += count
-        return cls(table)
+        return cls._taking(table)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
@@ -144,7 +155,7 @@ class Lexicon:
                 first += len(block)
         if not table:
             raise EmptyInput(f"{path}: lexicon has no words")
-        return cls(table)
+        return cls._taking(table)
 
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.frequencies

@@ -281,7 +281,19 @@ def _estimate_order(
 
 
 # Bytes that sort before the space separating a gram's words.
-_BELOW_SPACE = re.compile(b"[\x00-\x1f]")
+_BELOW_SPACE = bytes(range(0x20))
+
+
+def _holds_below_space(table: dict[bytes, complex]) -> bool:
+    """Whether some gram of table holds a byte of _BELOW_SPACE.  The
+    grams are joined _ARPA_CHUNK at a time, never the whole table at
+    once."""
+    grams = iter(table)
+    for _ in range(0, len(table), _ARPA_CHUNK):
+        joined = b"".join(islice(grams, _ARPA_CHUNK))
+        if len(joined.translate(None, _BELOW_SPACE)) < len(joined):
+            return True
+    return False
 
 
 def write_arpa(model: ArpaModel, out: IO[str]) -> None:
@@ -302,7 +314,7 @@ def write_arpa(model: ArpaModel, out: IO[str]) -> None:
         out.write(f"\n\\{n}-grams:\n")
         # Grams sort as their word tuples unless some word holds a byte
         # that sorts before the separating space.
-        key = (lambda g: g.split(b" ")) if any(map(_BELOW_SPACE.search, table)) else None
+        key = (lambda g: g.split(b" ")) if _holds_below_space(table) else None
         grams = sorted(table, key=key)
         for start in range(0, len(grams), _ARPA_CHUNK):
             chunk = grams[start : start + _ARPA_CHUNK]
@@ -348,18 +360,22 @@ def _parse_block(block: list[str], n: int, table: dict[bytes, complex]) -> bool:
     """Add the entries of a non-empty block of order-n entry lines to
     table and return True, or return False and leave table as it was.
 
-    Each step works on the whole block, whose fields are encoded once.
-    False means some line is not an entry, may be malformed, or has a
-    field count other lines do not share; the caller then parses the
-    block line by line, which reports the first bad line or accepts a
-    block mixing 2- and 3-field lines.
+    Each step works on the whole block: its lines are joined, encoded
+    once and split at tabs and newlines alike.  False means some line is
+    not an entry, may be malformed, has a field count other lines do not
+    share, or is not the last line and lacks its newline; the caller then
+    parses the block line by line, which reports the first bad line or
+    accepts a block mixing 2- and 3-field lines.
     """
-    rows = list(map(str.rstrip, block, repeat("\n")))
-    tabs = set(map(str.count, rows, repeat("\t")))
+    tabs = set(map(str.count, block, repeat("\t")))
     if tabs != {1} and tabs != {2}:
         return False
     width = tabs.pop() + 1
-    fields = "\t".join(rows).encode(*_ENCODING).split(b"\t")
+    fields = "".join(block).encode(*_ENCODING).replace(b"\n", b"\t").split(b"\t")
+    if block[-1].endswith("\n"):
+        fields.pop()
+    if len(fields) != width * len(block):
+        return False
     grams = fields[1::width]
     if set(map(bytes.count, grams, repeat(b" "))) != {n - 1}:
         return False
@@ -392,14 +408,15 @@ def _parse_block(block: list[str], n: int, table: dict[bytes, complex]) -> bool:
 def read_arpa(lines: Iterable[str]) -> ArpaModel:
     """Parse a textual ARPA model.
 
-    Every number of an entry is a finite decimal in ASCII digits (see
-    _decimal); section numbers and counts are ASCII digits alone.  The
-    lines after a section header, as many as the header declared, are
-    parsed in blocks of at most _ARPA_CHUNK lines (see _parse_block);
-    from the first block that does not parse whole on, the file is read
-    line by line instead, so errors and their line numbers are those of
-    a plain line-by-line reader.  Both paths key each gram by its UTF-8
-    bytes.
+    lines are as iterating a text file gives them: a newline, if a line
+    has one, ends it.  Every number of an entry is a finite decimal in
+    ASCII digits (see _decimal); section numbers and counts are ASCII
+    digits alone.  The lines after a section header, as many as the
+    header declared, are parsed in blocks of at most _ARPA_CHUNK lines
+    (see _parse_block); from the first block that does not parse whole
+    on, the file is read line by line instead, so errors and their line
+    numbers are those of a plain line-by-line reader.  Both paths key
+    each gram by its UTF-8 bytes.
     """
     declared: list[int] = []
     tables: list[dict[bytes, complex]] = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 import unicodedata
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Iterable
 
 from gectools.errors import MalformedArpa
@@ -583,3 +583,44 @@ def ref_f_beta(p: float, r: float, beta: float) -> float:
         return 0.0
     b2 = beta * beta
     return (1 + b2) * p * r / (b2 * p + r) if (b2 * p + r) > 0 else 0.0
+
+
+# --- edit scoring (multiset intersection and occurrence ranks) --------------
+
+
+def _ref_prf(tp: int, fp: int, fn: int, beta: float) -> tuple[int, int, int, float, float, float]:
+    p = tp / (tp + fp) if tp + fp else 1.0
+    r = tp / (tp + fn) if tp + fn else 1.0
+    return tp, fp, fn, p, r, ref_f_beta(p, r, beta)
+
+
+def ref_score(ref_edit_lists, hyp_edit_lists, beta: float = 0.5):
+    """((tp, fp, fn, P, R, F), {type: (tp, fp, fn, P, R, F)}) of a corpus.
+
+    Per sentence, an edit's key is (o_start, o_end, c_text).  The totals
+    come from the multiset intersection of the two sides' keys.  The
+    types come from occurrence ranks: the k-th reference edit with a key
+    is a TP, counted for its own type, when the hypothesis holds at
+    least k edits with that key, else an FN; the k-th hypothesis edit
+    with a key is an FP, counted for its own type, when the reference
+    holds fewer than k.  An untyped edit counts as UNK.  P is 1 with no
+    TP or FP, R is 1 with no TP or FN.
+    """
+    tp = fp = fn = 0
+    per_type: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0])
+    for ref, hyp in zip(ref_edit_lists, hyp_edit_lists, strict=True):
+        ref_keys = [(e.o_start, e.o_end, e.c_text) for e in ref]
+        hyp_keys = [(e.o_start, e.o_end, e.c_text) for e in hyp]
+        ref_count, hyp_count = Counter(ref_keys), Counter(hyp_keys)
+        common = sum((ref_count & hyp_count).values())
+        tp, fp, fn = tp + common, fp + len(hyp) - common, fn + len(ref) - common
+        rank: Counter = Counter()
+        for edit, key in zip(ref, ref_keys):
+            rank[key] += 1
+            per_type[edit.etype or "UNK"][0 if rank[key] <= hyp_count[key] else 2] += 1
+        rank = Counter()
+        for edit, key in zip(hyp, hyp_keys):
+            rank[key] += 1
+            if rank[key] > ref_count[key]:
+                per_type[edit.etype or "UNK"][1] += 1
+    return _ref_prf(tp, fp, fn, beta), {t: _ref_prf(*counts, beta) for t, counts in per_type.items()}

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from gectools import synth
 from gectools.cli import _check_ranges, build_parser, main
 from gectools.lm import read_arpa
+from gectools.synth import FilterConfig, SynthConfig
 
 ORIG = "în cazul unei paciente internată joi\nmergem acasă\n"
 CORR = "în cazul unei paciente internate joi\nmergem acasă\n"
@@ -142,6 +144,55 @@ class TestVerbose:
             f"filter: input={inp} max_foreign_ratio=0.025 min_diacritic_ratio=0.01 min_words=1 output=None"
         )
         assert err[1:] == ["input lines: 1", "accepted: 0", "rejected by rule 1 (first letter not uppercase): 1"]
+
+
+FILTER_FLAGS = ["--min-words", "3", "--min-diacritic-ratio", "0.5", "--max-foreign-ratio", "0.25"]
+SYNTH_FLAGS = ["--mean-error-rate", "0.4", "--std-error-rate", "0.05", "--confusion-size", "5", "--char-word-rate", "0.3"]
+
+
+class TestConfigsFromFlags:
+    """filter and synth build FilterConfig and SynthConfig from the flags
+    named like their fields: each equals a config built field by field,
+    and the --verbose line is as before."""
+
+    @pytest.mark.parametrize("argv, spied, configs, verbose", [
+        (["filter"], "filter_sentence",
+         [FilterConfig(min_words=9, min_diacritic_ratio=0.01, max_foreign_ratio=0.025)],
+         "filter: input={inp} max_foreign_ratio=0.025 min_diacritic_ratio=0.01 min_words=9 output=None"),
+        (["filter", *FILTER_FLAGS], "filter_sentence",
+         [FilterConfig(min_words=3, min_diacritic_ratio=0.5, max_foreign_ratio=0.25)],
+         "filter: input={inp} max_foreign_ratio=0.25 min_diacritic_ratio=0.5 min_words=3 output=None"),
+        (["synth", "--seed", "7"], "generate_corpus",
+         [FilterConfig(min_words=9, min_diacritic_ratio=0.01, max_foreign_ratio=0.025),
+          SynthConfig(mean_error_rate=0.15, std_error_rate=0.2, confusion_size=20, char_word_rate=0.1, seed=7)],
+         "synth: char_word_rate=0.1 confusion_size=20 input={inp} jobs=1 lexicon={lex} max_distance=2 "
+         "max_foreign_ratio=0.025 mean_error_rate=0.15 "
+         "min_diacritic_ratio=0.01 min_words=9 output=None seed=7 std_error_rate=0.2"),
+        (["synth", "--seed", "7", *FILTER_FLAGS, *SYNTH_FLAGS], "generate_corpus",
+         [FilterConfig(min_words=3, min_diacritic_ratio=0.5, max_foreign_ratio=0.25),
+          SynthConfig(mean_error_rate=0.4, std_error_rate=0.05, confusion_size=5, char_word_rate=0.3, seed=7)],
+         "synth: char_word_rate=0.3 confusion_size=5 input={inp} jobs=1 lexicon={lex} max_distance=2 "
+         "max_foreign_ratio=0.25 mean_error_rate=0.4 "
+         "min_diacritic_ratio=0.5 min_words=3 output=None seed=7 std_error_rate=0.05"),
+    ], ids=["filter-defaults", "filter", "synth-defaults", "synth"])
+    def test_configs_and_verbose_line(self, files, monkeypatch, capsys, argv, spied, configs, verbose):
+        write, _ = files
+        inp = write("in.txt", "Bace bice boba cuba ricema tibe lobă masă cevat toba .\n")
+        lex = write("lex.txt", "bace\nbice\nboba\n")
+        seen = []
+        real = getattr(synth, spied)
+
+        def spy(*args, **kwargs):
+            seen.append([arg for arg in args if isinstance(arg, (FilterConfig, SynthConfig))])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(synth, spied, spy)
+        command, *flags = argv
+        if command == "synth":
+            flags += ["--lexicon", lex]
+        assert main(["--verbose", command, inp, *flags]) == 0
+        assert seen == [configs]
+        assert capsys.readouterr().err.splitlines()[0] == verbose.format(inp=inp, lex=lex)
 
 
 class TestFilter:

@@ -54,6 +54,15 @@ class TestOneTable:
             del lex.frequencies["casa"]
         assert "vasa" not in lex and len(lex) == 2
 
+    def test_the_callers_table_stays_the_callers(self):
+        table = {"casa": 1, "masa": 0}
+        lex = Lexicon(table)
+        assert lex.sorted_words == ("casa", "masa")
+        table["vasa"] = 3
+        del table["casa"]
+        assert "vasa" not in lex and "casa" in lex and len(lex) == 2
+        assert lex.frequencies == {"casa": 1, "masa": 0}
+
     def test_lexicon_and_provider_survive_pickling(self):
         # synth --jobs hands the provider to a pool, which pickles it
         # under the spawn start method.

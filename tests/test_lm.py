@@ -310,6 +310,27 @@ class TestArpaIO:
             assert len(grams) == len(model.tables[n - 1])
             assert grams == sorted(grams)
 
+    def test_a_word_below_the_space_in_the_last_chunk_sorts_word_by_word(self):
+        # The order is decided over chunks of the table's grams; the only
+        # word holding "\x01" is the last gram of the third chunk.
+        words = [f"w{i:04d}" for i in range(2 * lm._ARPA_CHUNK + 2)]
+        unigrams = {word.encode(): complex(-1.0, -0.5) for word in [*words, "a", "a\x01"]}
+        bigrams = {f"{a} {b}".encode(): complex(-0.5, 0.0) for a, b in zip(words, words[1:])}
+        bigrams[b"a b"] = bigrams[b"a\x01 b"] = complex(-0.5, 0.0)
+        assert len(bigrams) > 2 * lm._ARPA_CHUNK
+        buf = io.StringIO()
+        write_arpa(ArpaModel((unigrams, bigrams)), buf)
+        section = buf.getvalue().split("\\2-grams:\n")[1].split("\n\n")[0]
+        grams = [line.split("\t")[1].split(" ") for line in section.splitlines()]
+        assert grams[:2] == [["a", "b"], ["a\x01", "b"]]
+        assert grams == sorted(grams)
+
+    def test_a_line_without_its_newline_is_read_as_a_line(self):
+        # Joined without a newline, "-1\t5" and "-2\t6" would split into
+        # three fields that parse: the block's field count refuses them.
+        lines = ["\\data\\\n", "ngram 1=2\n", "\n", "\\1-grams:\n", "-1\t5", "-2\t6\n", "\n", "\\end\\\n"]
+        assert read_arpa(lines).tables == ({b"5": complex(-1, 0), b"6": complex(-2, 0)},)
+
     def test_read_hand_written_model(self):
         text = (
             "\\data\\\n"

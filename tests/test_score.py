@@ -1,5 +1,7 @@
 """Edit-level scoring: matching semantics, F-beta, and corpus stats."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from gectools.score import (
     group_of,
     score_corpus,
 )
-from tests.oracles import ref_f_beta
+from tests.oracles import ref_f_beta, ref_score
 
 
 def edit(start, end, c_text, etype=None):
@@ -130,6 +132,56 @@ class TestScoreCorpus:
         assert (report.tp, report.fp, report.fn) == (1, 1, 2)
         p, r = 1 / 2, 1 / 3
         assert report.fscore == pytest.approx(f_beta(p, r, 0.5))
+
+
+# Few spans, corrections and types, so keys collide: the same span with
+# another correction, duplicate keys, and one key under several types.
+# o_text and c_start play no part in matching.
+ETYPES = st.sampled_from([None, "ORTH", "SPELL", "M:VERB"])
+EDITS = st.builds(
+    Edit,
+    o_start=st.integers(0, 1),
+    o_end=st.integers(1, 2),
+    c_start=st.integers(0, 1),
+    c_end=st.just(1),
+    o_text=st.sampled_from(["x", "y"]),
+    c_text=st.sampled_from(["", "a", "b"]),
+    etype=ETYPES,
+)
+
+
+@st.composite
+def scored_corpora(draw):
+    """(reference edit lists, hypothesis edit lists) of a few sentences;
+    a hypothesis often repeats reference keys under other types."""
+    refs, hyps = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        ref = draw(st.lists(EDITS, max_size=6))
+        hyp = draw(st.lists(EDITS, max_size=4))
+        if ref:
+            copies = draw(st.lists(st.sampled_from(ref), max_size=4))
+            hyp += [dataclasses.replace(e, etype=draw(ETYPES)) for e in copies]
+        refs.append(ref)
+        hyps.append(draw(st.permutations(hyp)))
+    return refs, hyps
+
+
+class TestScoreCorpusMatchesReference:
+    @settings(max_examples=600, deadline=None)
+    @given(corpus=scored_corpora(), beta=st.sampled_from([0.5, 1.0, 2.0]))
+    def test_counts_scores_and_types(self, corpus, beta):
+        refs, hyps = corpus
+        report = score_corpus(refs, hyps, beta=beta)
+        (tp, fp, fn, p, r, f), per_type = ref_score(refs, hyps, beta)
+        assert (report.tp, report.fp, report.fn, report.precision, report.recall) == (tp, fp, fn, p, r)
+        assert report.fscore == pytest.approx(f, abs=1e-12)
+        assert set(report.per_type) == set(per_type)
+        for etype, (type_tp, type_fp, type_fn, type_p, type_r, type_f) in per_type.items():
+            counts = report.per_type[etype]
+            assert (counts.tp, counts.fp, counts.fn) == (type_tp, type_fp, type_fn), etype
+            got_p, got_r, got_f = report.type_prf(etype)
+            assert (got_p, got_r) == (type_p, type_r), etype
+            assert got_f == pytest.approx(type_f, abs=1e-12), etype
 
 
 class TestStats:
