@@ -42,9 +42,9 @@ count_ngrams inserts each order's grams in sorted order and the model
 keeps it, so the sorts of training and write_arpa get sorted input.
 Training walks the sorted grams, where the grams of one context form
 one run, and finishes each run before the next, so it keeps no
-per-context tables.  Reading and writing hold a bounded chunk of lines
-beside the model, and read_nbest yields an n-best file one group at a
-time.
+per-context tables.  Reading holds a bounded chunk of characters
+beside the model, writing a bounded chunk of lines, and read_nbest
+yields an n-best file one group at a time.
 """
 
 from __future__ import annotations
@@ -272,7 +272,10 @@ def _estimate_order(
             # Suffix closure: the next-lower-order gram, the gram without
             # its first word, is always present.
             p_low = 10.0 ** lower[gram[gram.find(b" ") + 1 :]].real
-            p = max(adjusted[gram] - dn, 0.0) / total + gamma * p_low
+            # Every gram of grams has an adjusted count of at least 1, and
+            # a discount, estimated, fallen back to or given, lies strictly
+            # between 0 and 1: the discounted count needs no floor at 0.
+            p = (adjusted[gram] - dn) / total + gamma * p_low
             table[gram] = complex(math.log10(p), 0.0)
         # A context ending in a literal <s> word of the text has no entry
         # of its own: it gets a dummy one to carry its backoff weight.
@@ -351,48 +354,107 @@ def _integer(field: str) -> int:
     return int(field)
 
 
-# Lines of a section read or written as one block: this bounds the
-# working lists read_arpa and write_arpa hold beside the model.
+# Lines of a section written as one block: this bounds the working
+# lists write_arpa holds beside the model.
 _ARPA_CHUNK = 1024
 
+# Characters read_arpa asks a text stream for at a time, and about the
+# size of the chunks it joins the items of an iterable into: this bounds
+# the text read_arpa holds beside the model.
+_ARPA_READ = 32 * 1024
 
-def _parse_block(block: list[str], n: int, table: dict[bytes, complex]) -> bool:
-    """Add the entries of a non-empty block of order-n entry lines to
-    table and return True, or return False and leave table as it was.
+# Every byte but the tab, newline and space that lay out an entry line.
+_NOT_LAYOUT = bytes(b for b in range(256) if b not in b"\t\n ")
 
-    Each step works on the whole block: its lines are joined, encoded
-    once and split at tabs and newlines alike.  False means some line is
-    not an entry, may be malformed, has a field count other lines do not
-    share, or is not the last line and lacks its newline; the caller then
-    parses the block line by line, which reports the first bad line or
-    accepts a block mixing 2- and 3-field lines.
+
+def _stream_chunks(source: IO[str]) -> Iterator[tuple[str, bool]]:
+    """The text of a stream in chunks of whole lines: each read of
+    _ARPA_READ characters is cut at its last newline.  Each chunk comes
+    with False (see _item_chunks)."""
+    tail = ""
+    while piece := source.read(_ARPA_READ):
+        cut = piece.rfind("\n") + 1
+        if cut:
+            yield tail + piece[:cut], False
+            tail = piece[cut:]
+        else:
+            tail += piece
+    if tail:
+        yield tail, False
+
+
+def _item_chunks(items: Iterable[str]) -> Iterator[tuple[str, bool]]:
+    """The items of an iterable of lines, each ended with a newline if it
+    lacks one, joined about _ARPA_READ characters at a time.  A chunk
+    that holds one newline per item comes with False, as a stream's
+    chunks do.  Otherwise some item holds a newline before its end, and
+    the chunk's items come one at a time with True: each is one line."""
+    block: list[str] = []
+    size = 0
+    for item in chain(items, [None]):
+        if item is not None:
+            if not item.endswith("\n"):
+                item += "\n"
+            block.append(item)
+            size += len(item)
+            if size < _ARPA_READ:
+                continue
+        if block:
+            text = "".join(block)
+            if text.count("\n") == len(block):
+                yield text, False
+            else:
+                yield from zip(block, repeat(True))
+        block, size = [], 0
+
+
+def _entry_layout(data: bytes, n: int) -> tuple[int, int]:
+    """(lines, width) when data is order-n entry lines of width fields
+    each, judged by their tabs, spaces and newlines alone; else (0, 0).
+
+    data is whole lines: it ends with a newline or holds none.  With
+    every other byte deleted, an entry line is a tab, n - 1 spaces, then
+    a tab and a newline (3 fields) or a newline (2 fields).  What is left
+    of data must be that pattern repeated once per line: this one
+    comparison fixes each line's field count, each gram's word count and
+    the number of lines.
     """
-    tabs = set(map(str.count, block, repeat("\t")))
-    if tabs != {1} and tabs != {2}:
-        return False
-    width = tabs.pop() + 1
-    fields = "".join(block).encode(*_ENCODING).replace(b"\n", b"\t").split(b"\t")
-    if block[-1].endswith("\n"):
-        fields.pop()
-    if len(fields) != width * len(block):
-        return False
+    skeleton = data.translate(None, _NOT_LAYOUT)
+    width = 3 if skeleton[n : n + 1] == b"\t" else 2
+    line = b"\t" + b" " * (n - 1) + (b"\t\n" if width == 3 else b"\n")
+    lines = len(skeleton) // len(line)
+    if not lines or skeleton != line * lines:
+        return 0, 0
+    return lines, width
+
+
+def _parse_entries(data: bytes, width: int, table: dict[bytes, complex]) -> bool:
+    """Add the entries of data, whose lines _entry_layout found to hold
+    width fields each and grams of the section's order, to table and
+    return True, or return False and leave table as it was.
+
+    False means some gram holds an empty word or some number may be
+    malformed; the caller then parses the lines one by one, which reports
+    the first bad line.
+    """
+    fields = data.replace(b"\n", b"\t").split(b"\t")
+    fields.pop()  # the empty field after the last newline
     grams = fields[1::width]
-    if set(map(bytes.count, grams, repeat(b" "))) != {n - 1}:
-        return False
-    # With n - 1 spaces in each gram, an empty word shows as a doubled
-    # space or a space at either end of the joined grams.
+    # With as many spaces in each gram as the order less one, an empty
+    # word shows as a doubled space or a space at either end of the
+    # joined grams.
     joined = b" ".join(grams)
     if not joined or joined.startswith(b" ") or joined.endswith(b" ") or b"  " in joined:
         return False
-    # float() also takes "1_0", "nan", "inf" and "1e999" (as inf); on
-    # bytes it strips no "\x1c" to "\x1f", so such a field fails here.
-    # Number fields that are ASCII and hold no "_" are decimals, NaN or
-    # infinities, or fail float(); a finite sum leaves none of the latter
-    # two.  A doubtful block goes to the line path, which decides.
+    # float() also takes "1_0", "nan", "inf" and "1e999" (as inf).  On
+    # bytes it takes ASCII alone and strips no "\x1c" to "\x1f", so a
+    # field with other digits or such a byte fails it.  Number fields
+    # that hold no "_" are decimals, NaN or infinities, or fail float();
+    # a finite sum leaves none of the latter two.  A doubtful chunk goes
+    # to the line path, which decides.
     logp_fields = fields[0::width]
     logbo_fields = fields[2::width] if width == 3 else []
-    numbers = b"".join(logp_fields) + b"".join(logbo_fields)
-    if not numbers.isascii() or b"_" in numbers:
+    if b"_" in data and b"_" in b"".join(logp_fields + logbo_fields):
         return False
     try:
         logps = list(map(float, logp_fields))
@@ -405,18 +467,101 @@ def _parse_block(block: list[str], n: int, table: dict[bytes, complex]) -> bool:
     return True
 
 
-def read_arpa(lines: Iterable[str]) -> ArpaModel:
-    """Parse a textual ARPA model.
+def _entry_line(line_no: int, line: str, n: int) -> tuple[bytes, complex]:
+    """The gram key and entry of an order-n entry line, read on its own:
+    the line path of read_arpa."""
+    fields = line.split("\t")
+    if len(fields) not in (2, 3):
+        raise MalformedArpa(line_no, f"expected 2 or 3 tab-separated fields, got {len(fields)}")
+    logp = _decimal(fields[0])
+    logbo = _decimal(fields[2]) if len(fields) == 3 else 0.0
+    if logp is None or logbo is None:
+        raise MalformedArpa(line_no, f"bad numeric field in {line!r}")
+    words = fields[1].split(" ")
+    if len(words) != n or any(not w for w in words):
+        raise MalformedArpa(line_no, f"gram does not match section order: {fields[1]!r}")
+    return fields[1].encode(*_ENCODING), complex(logp, logbo)
 
-    lines are as iterating a text file gives them: a newline, if a line
-    has one, ends it.  Every number of an entry is a finite decimal in
-    ASCII digits (see _decimal); section numbers and counts are ASCII
-    digits alone.  The lines after a section header, as many as the
-    header declared, are parsed in blocks of at most _ARPA_CHUNK lines
-    (see _parse_block); from the first block that does not parse whole
-    on, the file is read line by line instead, so errors and their line
-    numbers are those of a plain line-by-line reader.  Both paths key
-    each gram by its UTF-8 bytes.
+
+class _ArpaText:
+    """The text of an ARPA source, read as lines or, after a section
+    header, as chunks of entry lines."""
+
+    def __init__(self, source: IO[str] | Iterable[str]):
+        self._chunks = _stream_chunks(source) if hasattr(source, "read") else _item_chunks(source)
+        self._text = ""
+        self._one_line = False
+        self._pos = 0  # where the text not yet read starts
+
+    def _more(self) -> bool:
+        """Whether text is left to read; moves on to the next chunk when
+        the current one is read."""
+        while self._pos == len(self._text):
+            chunk = next(self._chunks, None)
+            if chunk is None:
+                return False
+            (self._text, self._one_line), self._pos = chunk, 0
+        return True
+
+    def line(self) -> str | None:
+        """The next line, with its newline if it has one; None at the end."""
+        if not self._more():
+            return None
+        end = len(self._text) if self._one_line else self._text.find("\n", self._pos) + 1 or len(self._text)
+        line, self._pos = self._text[self._pos : end], end
+        return line
+
+    def entries(self, n: int, left: int, table: dict[bytes, complex]) -> int:
+        """Add the order-n entries of the next lines, up to the end of the
+        current chunk and at most left of them, to table and return how
+        many were read; or return 0, reading nothing, when those lines do
+        not parse whole."""
+        if not self._more() or self._one_line:
+            return 0
+        text = self._text[self._pos :]
+        data = text.encode(*_ENCODING)
+        lines, width = _entry_layout(data, n)
+        if not 0 < lines <= left:
+            # The section may end in this chunk: try its first left lines.
+            if text.count("\n") < left:
+                return 0
+            cut = 0
+            for _ in range(left):
+                cut = text.index("\n", cut) + 1
+            text = text[:cut]
+            data = text.encode(*_ENCODING)
+            lines, width = _entry_layout(data, n)
+        if not lines or not _parse_entries(data, width, table):
+            return 0
+        self._pos += len(text)
+        return lines
+
+
+def read_arpa(source: IO[str] | Iterable[str]) -> ArpaModel:
+    """Parse a textual ARPA model from a text stream or from an iterable
+    of lines.
+
+    A stream (anything with a read method) is read _ARPA_READ characters
+    at a time, each read cut at its last newline.  Each item of any other
+    iterable is one line, ended with a newline if it lacks one; whole
+    items are joined into chunks of about _ARPA_READ characters.  So the
+    text held beside the model stays bounded.  Every number of an entry
+    is a finite decimal in ASCII digits (see _decimal); section numbers
+    and counts are ASCII digits alone.
+
+    The lines after a section header, as many as the header declared,
+    are parsed a chunk at a time (see _entry_layout and _parse_entries),
+    with no str made per line.  From the first chunk that does not parse
+    whole up to the next section header, lines are read one by one
+    instead, so errors and their line numbers are those of a plain
+    line-by-line reader; it reads each item of an iterable as one line,
+    whatever newlines the item holds.  Both paths key each gram by its
+    UTF-8 bytes.
+
+    A stream decodes each read whole.  When one read holds both bytes
+    the stream cannot decode and a malformed line, the stream's
+    UnicodeDecodeError is raised even if the malformed line comes first.
+    (Iterating a text file decodes it about 8 KiB at a time.)
     """
     declared: list[int] = []
     tables: list[dict[bytes, complex]] = []
@@ -424,9 +569,9 @@ def read_arpa(lines: Iterable[str]) -> ArpaModel:
     current = -1
     saw_end = False
     line_no = 0
-    rows = iter(lines)
+    arpa = _ArpaText(source)
 
-    while (raw_line := next(rows, None)) is not None:
+    while (raw_line := arpa.line()) is not None:
         line_no += 1
         line = raw_line.rstrip("\n")
         if not line.strip():
@@ -448,12 +593,9 @@ def read_arpa(lines: Iterable[str]) -> ArpaModel:
                 raise MalformedArpa(line_no, f"unexpected section order {current}")
             section = 2
             left = declared[current - 1]
-            while left > 0 and (block := list(islice(rows, min(left, _ARPA_CHUNK)))):
-                if not _parse_block(block, current, tables[current - 1]):
-                    rows = chain(block, rows)
-                    break
-                line_no += len(block)
-                left -= len(block)
+            while left and (parsed := arpa.entries(current, left, tables[current - 1])):
+                line_no += parsed
+                left -= parsed
             continue
         if section == 1:
             if not line.startswith("ngram "):
@@ -470,17 +612,8 @@ def read_arpa(lines: Iterable[str]) -> ArpaModel:
             tables.append({})
             continue
         if section == 2 and current > 0:
-            fields = line.split("\t")
-            if len(fields) not in (2, 3):
-                raise MalformedArpa(line_no, f"expected 2 or 3 tab-separated fields, got {len(fields)}")
-            logp = _decimal(fields[0])
-            logbo = _decimal(fields[2]) if len(fields) == 3 else 0.0
-            if logp is None or logbo is None:
-                raise MalformedArpa(line_no, f"bad numeric field in {line!r}")
-            words = fields[1].split(" ")
-            if len(words) != current or any(not w for w in words):
-                raise MalformedArpa(line_no, f"gram does not match section order: {fields[1]!r}")
-            tables[current - 1][fields[1].encode(*_ENCODING)] = complex(logp, logbo)
+            gram, entry = _entry_line(line_no, line, current)
+            tables[current - 1][gram] = entry
             continue
         raise MalformedArpa(line_no, f"unexpected line: {line!r}")
 

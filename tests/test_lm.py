@@ -331,6 +331,15 @@ class TestArpaIO:
         lines = ["\\data\\\n", "ngram 1=2\n", "\n", "\\1-grams:\n", "-1\t5", "-2\t6\n", "\n", "\\end\\\n"]
         assert read_arpa(lines).tables == ({b"5": complex(-1, 0), b"6": complex(-2, 0)},)
 
+    def test_an_item_holding_a_newline_before_its_end_is_one_line(self):
+        # The fourth item holds a newline before its end.  Read as one
+        # line, as a line-by-line reader reads it, it is the entry of the
+        # gram "a\n-5", and the fifth item is malformed.
+        lines = ["\\data\\\n", "ngram 1=3\n", "\\1-grams:\n", "-1\ta\n-5\n", "x\t-7", "\tz\n", "\\end\\\n"]
+        with pytest.raises(MalformedArpa, match=r"^line 5: bad numeric field in 'x\\t-7'$"):
+            read_arpa(lines)
+        assert _arpa_outcome(read_arpa, lines) == _arpa_outcome(ref_read_arpa, lines)
+
     def test_read_hand_written_model(self):
         text = (
             "\\data\\\n"
@@ -531,22 +540,25 @@ class TestReadArpaMatchesLineReader:
         assert got == _arpa_outcome(ref_read_arpa, io.StringIO(buf.getvalue()))
         assert got[0] == 3 and all(got[1])
 
-    # With chunks of 1 or 3 lines, sections span several chunks, and a bad
-    # line can fall in a later chunk than good ones.
-    @pytest.mark.parametrize("chunk", [1, 3])
+    # With reads (or joined lines) of 1 to 64 characters, headers,
+    # entries, diacritics and section ends straddle reads, sections span
+    # several chunks, and a bad line can fall in a later chunk than good
+    # ones.
+    @pytest.mark.parametrize("read", [1, 3, 5, 64])
     @pytest.mark.parametrize(
         "feed", [io.StringIO, str.splitlines], ids=["stream", "unterminated-lines"]
     )
     @settings(max_examples=300, deadline=None)
     @given(text=arpa_texts())
-    def test_same_model_or_same_error_in_small_chunks(self, feed, chunk, text):
+    def test_same_model_or_same_error_in_small_chunks(self, feed, read, text):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lm, "_ARPA_CHUNK", chunk)
+            mp.setattr(lm, "_ARPA_READ", read)
             assert _arpa_outcome(read_arpa, feed(text)) == _arpa_outcome(ref_read_arpa, feed(text))
 
-    @pytest.mark.parametrize("chunk", [1, 3, lm._ARPA_CHUNK])
-    def test_written_model_with_one_bad_line(self, monkeypatch, chunk):
-        monkeypatch.setattr(lm, "_ARPA_CHUNK", chunk)
+    # Reads of 1 and 3 characters, and of 1024, which hold the whole model.
+    @pytest.mark.parametrize("read", [1, 3, 1024])
+    def test_written_model_with_one_bad_line(self, monkeypatch, read):
+        monkeypatch.setattr(lm, "_ARPA_READ", read)
         self.test_written_model()
         model = train(["a b c a", "c b a", "b b a c"], 3)
         buf = io.StringIO()
@@ -570,9 +582,31 @@ class TestReadArpaMatchesLineReader:
                 assert got == _arpa_outcome(ref_read_arpa, io.StringIO(text)), (i, bad)
 
 
+class TestReadArpaFastPath:
+    def test_a_written_model_never_takes_the_line_path(self, monkeypatch):
+        # Each section spans at least three reads; grams hold diacritics,
+        # and <s> has its dummy entry.
+        model = train(make_clean_lines(300, make_words(400), seed=3), 3)
+        buf = io.StringIO()
+        write_arpa(model, buf)
+        text = buf.getvalue()
+        sections = [section.split("\n\n")[0] for section in text.split("-grams:\n")[1:]]
+        monkeypatch.setattr(lm, "_ARPA_READ", min(map(len, sections)) // 3)
+        assert any(ch in text for ch in "ăâîșț")
+        assert f"{lm.DUMMY_LOGPROB:.10f}\t{SOS}\t" in text
+
+        def line_path(*args):
+            raise AssertionError(f"an entry line was read on its own: {args}")
+
+        monkeypatch.setattr(lm, "_entry_line", line_path)
+        got = _arpa_outcome(read_arpa, io.StringIO(text))
+        assert got == _arpa_outcome(ref_read_arpa, io.StringIO(text))
+        assert [len(table) for table in got[1]] == [len(table) for table in model.tables]
+
+
 class TestReadArpaMemory:
     def test_peak_is_bounded_by_the_model(self):
-        # The reader holds one chunk of lines beside the model, not a
+        # The reader holds one chunk of text beside the model, not a
         # whole section.  tracemalloc counts the same allocations on every
         # run, so this is a count, not a timing.
         texts = make_clean_lines(1500, make_words(2000), seed=8)
