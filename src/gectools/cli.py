@@ -11,11 +11,12 @@ saved with one reads as the same file without it.
 
 Exit codes: 0 on success, 1 on data errors (malformed, inconsistent or
 non-UTF-8 input files), 2 on usage errors: a malformed or out-of-range
-option value, a missing argument, or paired inputs that do not pair up
-(their lengths, or the sentences at one position, differ).  Each error
-is one line starting with "error:", each warning (such as a discount
-lm-train could not estimate) one line starting with "warning:".  An
-output file given with -o is replaced only when the command succeeds.
+option value, a missing argument, both inputs of a command given as
+'-' (stdin), or paired inputs that do not pair up (their lengths, or
+the sentences at one position, differ).  Each error is one line
+starting with "error:", each warning (such as a discount lm-train could
+not estimate) one line starting with "warning:".  An output file given
+with -o is replaced only when the command succeeds.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ from gectools.text import parse_conllu, render, tokenize
 MAX_ORDER = 6
 # The most worker processes synth --jobs may start.
 MAX_JOBS = 128
+# The input files of each command that reads two: at most one of them
+# can be standard input ('-').
+_TWO_INPUTS = {"extract": ("orig", "corr"), "score": ("ref", "hyp"),
+               "lm-score": ("model", "input"), "rerank": ("model", "nbest")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -401,6 +406,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_ranges(parser, args)
+    names = _TWO_INPUTS.get(args.command, ())
+    if names and all(getattr(args, name) == "-" for name in names):
+        parser.error(f"{' and '.join(names)} are both '-': only one input can be read from stdin")
     if args.verbose:
         options = (f"{key}={value}" for key, value in sorted(vars(args).items())
                    if key not in ("command", "func", "verbose"))

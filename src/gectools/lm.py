@@ -28,8 +28,8 @@ those, plus 33.  A bytes object is never larger than the str it encodes.
 Encoding uses errors="surrogatepass", so every str maps to exactly one
 key and back.  UTF-8 bytes sort in code point order, so sorted keys are
 sorted text.  The query API stays str: ArpaModel.vocab and word_logprob
-take and give str words, and read_arpa and write_arpa read and write
-text.
+take and give str words, read_arpa reads a text stream and write_arpa
+writes one.
 
 train_kneser_ney writes the model into the count dicts themselves,
 which become the model's tables: each order's entries overwrite its raw
@@ -54,7 +54,7 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, groupby, islice, repeat
+from itertools import groupby, islice, repeat
 from typing import IO, Iterable, Iterator, Sequence
 
 from gectools.errors import DegenerateCounts, EmptyInput, MalformedArpa, MalformedLine, NoFiniteScore
@@ -358,8 +358,7 @@ def _integer(field: str) -> int:
 # lists write_arpa holds beside the model.
 _ARPA_CHUNK = 1024
 
-# Characters read_arpa asks a text stream for at a time, and about the
-# size of the chunks it joins the items of an iterable into: this bounds
+# Characters read_arpa asks its text stream for at a time: this bounds
 # the text read_arpa holds beside the model.
 _ARPA_READ = 32 * 1024
 
@@ -367,45 +366,20 @@ _ARPA_READ = 32 * 1024
 _NOT_LAYOUT = bytes(b for b in range(256) if b not in b"\t\n ")
 
 
-def _stream_chunks(source: IO[str]) -> Iterator[tuple[str, bool]]:
+def _stream_chunks(source: IO[str]) -> Iterator[str]:
     """The text of a stream in chunks of whole lines: each read of
-    _ARPA_READ characters is cut at its last newline.  Each chunk comes
-    with False (see _item_chunks)."""
+    _ARPA_READ characters is cut at its last newline.  The last chunk
+    lacks a newline when the stream ends without one."""
     tail = ""
     while piece := source.read(_ARPA_READ):
         cut = piece.rfind("\n") + 1
         if cut:
-            yield tail + piece[:cut], False
+            yield tail + piece[:cut]
             tail = piece[cut:]
         else:
             tail += piece
     if tail:
-        yield tail, False
-
-
-def _item_chunks(items: Iterable[str]) -> Iterator[tuple[str, bool]]:
-    """The items of an iterable of lines, each ended with a newline if it
-    lacks one, joined about _ARPA_READ characters at a time.  A chunk
-    that holds one newline per item comes with False, as a stream's
-    chunks do.  Otherwise some item holds a newline before its end, and
-    the chunk's items come one at a time with True: each is one line."""
-    block: list[str] = []
-    size = 0
-    for item in chain(items, [None]):
-        if item is not None:
-            if not item.endswith("\n"):
-                item += "\n"
-            block.append(item)
-            size += len(item)
-            if size < _ARPA_READ:
-                continue
-        if block:
-            text = "".join(block)
-            if text.count("\n") == len(block):
-                yield text, False
-            else:
-                yield from zip(block, repeat(True))
-        block, size = [], 0
+        yield tail
 
 
 def _entry_layout(data: bytes, n: int) -> tuple[int, int]:
@@ -431,11 +405,13 @@ def _entry_layout(data: bytes, n: int) -> tuple[int, int]:
 def _parse_entries(data: bytes, width: int, table: dict[bytes, complex]) -> bool:
     """Add the entries of data, whose lines _entry_layout found to hold
     width fields each and grams of the section's order, to table and
-    return True, or return False and leave table as it was.
+    return True, or return False and leave table with the grams it had.
 
-    False means some gram holds an empty word or some number may be
-    malformed; the caller then parses the lines one by one, which reports
-    the first bad line.
+    False means some gram holds an empty word, some number may be
+    malformed, or some gram is listed twice, in data or before it; the
+    caller then parses the lines one by one, which reports the first bad
+    line.  Only in the last case may the entry of a gram listed before
+    data have changed, and the line path then raises at its repeat.
     """
     fields = data.replace(b"\n", b"\t").split(b"\t")
     fields.pop()  # the empty field after the last newline
@@ -463,13 +439,20 @@ def _parse_entries(data: bytes, width: int, table: dict[bytes, complex]) -> bool
         return False
     if not math.isfinite(sum(logps) + sum(logbos)):
         return False
+    before = len(table)
     table.update(zip(grams, map(complex, logps, logbos if width == 3 else repeat(0.0))))
-    return True
+    if len(table) - before == len(grams):
+        return True
+    # Some gram is listed twice.  The grams data added are the last ones
+    # of the table, which keeps insertion order: take them out again.
+    for gram in list(islice(table, before, None)):
+        del table[gram]
+    return False
 
 
-def _entry_line(line_no: int, line: str, n: int) -> tuple[bytes, complex]:
-    """The gram key and entry of an order-n entry line, read on its own:
-    the line path of read_arpa."""
+def _entry_line(line_no: int, line: str, n: int, table: dict[bytes, complex]) -> None:
+    """Add the entry of an order-n entry line, read on its own, to table:
+    the line path of read_arpa.  A gram table holds already is an error."""
     fields = line.split("\t")
     if len(fields) not in (2, 3):
         raise MalformedArpa(line_no, f"expected 2 or 3 tab-separated fields, got {len(fields)}")
@@ -480,17 +463,19 @@ def _entry_line(line_no: int, line: str, n: int) -> tuple[bytes, complex]:
     words = fields[1].split(" ")
     if len(words) != n or any(not w for w in words):
         raise MalformedArpa(line_no, f"gram does not match section order: {fields[1]!r}")
-    return fields[1].encode(*_ENCODING), complex(logp, logbo)
+    gram = fields[1].encode(*_ENCODING)
+    if gram in table:
+        raise MalformedArpa(line_no, f"repeated gram: {fields[1]!r}")
+    table[gram] = complex(logp, logbo)
 
 
 class _ArpaText:
-    """The text of an ARPA source, read as lines or, after a section
+    """The text of an ARPA stream, read as lines or, after a section
     header, as chunks of entry lines."""
 
-    def __init__(self, source: IO[str] | Iterable[str]):
-        self._chunks = _stream_chunks(source) if hasattr(source, "read") else _item_chunks(source)
+    def __init__(self, source: IO[str]):
+        self._chunks = _stream_chunks(source)
         self._text = ""
-        self._one_line = False
         self._pos = 0  # where the text not yet read starts
 
     def _more(self) -> bool:
@@ -500,14 +485,14 @@ class _ArpaText:
             chunk = next(self._chunks, None)
             if chunk is None:
                 return False
-            (self._text, self._one_line), self._pos = chunk, 0
+            self._text, self._pos = chunk, 0
         return True
 
     def line(self) -> str | None:
         """The next line, with its newline if it has one; None at the end."""
         if not self._more():
             return None
-        end = len(self._text) if self._one_line else self._text.find("\n", self._pos) + 1 or len(self._text)
+        end = self._text.find("\n", self._pos) + 1 or len(self._text)
         line, self._pos = self._text[self._pos : end], end
         return line
 
@@ -516,7 +501,7 @@ class _ArpaText:
         current chunk and at most left of them, to table and return how
         many were read; or return 0, reading nothing, when those lines do
         not parse whole."""
-        if not self._more() or self._one_line:
+        if not self._more():
             return 0
         text = self._text[self._pos :]
         data = text.encode(*_ENCODING)
@@ -537,26 +522,22 @@ class _ArpaText:
         return lines
 
 
-def read_arpa(source: IO[str] | Iterable[str]) -> ArpaModel:
-    """Parse a textual ARPA model from a text stream or from an iterable
-    of lines.
+def read_arpa(source: IO[str]) -> ArpaModel:
+    """Parse a textual ARPA model from a text stream, such as an open
+    file or io.StringIO.
 
-    A stream (anything with a read method) is read _ARPA_READ characters
-    at a time, each read cut at its last newline.  Each item of any other
-    iterable is one line, ended with a newline if it lacks one; whole
-    items are joined into chunks of about _ARPA_READ characters.  So the
-    text held beside the model stays bounded.  Every number of an entry
-    is a finite decimal in ASCII digits (see _decimal); section numbers
-    and counts are ASCII digits alone.
+    The stream is read _ARPA_READ characters at a time, each read cut at
+    its last newline, so the text held beside the model stays bounded.
+    Every number of an entry is a finite decimal in ASCII digits (see
+    _decimal); section numbers and counts are ASCII digits alone.  A
+    section lists each gram once, and its header comes once.
 
     The lines after a section header, as many as the header declared,
     are parsed a chunk at a time (see _entry_layout and _parse_entries),
     with no str made per line.  From the first chunk that does not parse
     whole up to the next section header, lines are read one by one
     instead, so errors and their line numbers are those of a plain
-    line-by-line reader; it reads each item of an iterable as one line,
-    whatever newlines the item holds.  Both paths key each gram by its
-    UTF-8 bytes.
+    line-by-line reader.  Both paths key each gram by its UTF-8 bytes.
 
     A stream decodes each read whole.  When one read holds both bytes
     the stream cannot decode and a malformed line, the stream's
@@ -567,6 +548,7 @@ def read_arpa(source: IO[str] | Iterable[str]) -> ArpaModel:
     tables: list[dict[bytes, complex]] = []
     section = 0  # 0: preamble, 1: \data\, 2: n-gram sections
     current = -1
+    headers: set[int] = set()  # the sections whose header was read
     saw_end = False
     line_no = 0
     arpa = _ArpaText(source)
@@ -591,6 +573,9 @@ def read_arpa(source: IO[str] | Iterable[str]) -> ArpaModel:
                 raise MalformedArpa(line_no, "n-gram section before \\data\\ header")
             if not 1 <= current <= len(declared):
                 raise MalformedArpa(line_no, f"unexpected section order {current}")
+            if current in headers:
+                raise MalformedArpa(line_no, f"repeated section header: {line!r}")
+            headers.add(current)
             section = 2
             left = declared[current - 1]
             while left and (parsed := arpa.entries(current, left, tables[current - 1])):
@@ -612,8 +597,7 @@ def read_arpa(source: IO[str] | Iterable[str]) -> ArpaModel:
             tables.append({})
             continue
         if section == 2 and current > 0:
-            gram, entry = _entry_line(line_no, line, current)
-            tables[current - 1][gram] = entry
+            _entry_line(line_no, line, current, tables[current - 1])
             continue
         raise MalformedArpa(line_no, f"unexpected line: {line!r}")
 

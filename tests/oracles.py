@@ -424,7 +424,9 @@ def ref_arpa_int(text: str) -> int:
 def ref_read_arpa(lines: Iterable[str]) -> ArpaModel:
     """Parse a textual ARPA model line by line, keyed by word tuples.
 
-    The package reader parses whole blocks of entry lines at once and
+    lines is any iterable of lines, a text stream included: this is the
+    reference, and it reads one line at a time.  The package reader
+    takes a text stream, parses whole blocks of entry lines at once and
     keys grams by their space-joined words; it must give the same tables,
     in the same order, or fail with the same message on the same line.
     """
@@ -432,6 +434,7 @@ def ref_read_arpa(lines: Iterable[str]) -> ArpaModel:
     tables: list[dict[tuple[str, ...], complex]] = []
     section = 0  # 0: preamble, 1: \data\, 2: n-gram sections
     current = -1
+    headers: set[int] = set()
     saw_end = False
     last_line_no = 0
 
@@ -455,6 +458,9 @@ def ref_read_arpa(lines: Iterable[str]) -> ArpaModel:
                 raise MalformedArpa(line_no, "n-gram section before \\data\\ header")
             if not 1 <= current <= len(declared):
                 raise MalformedArpa(line_no, f"unexpected section order {current}")
+            if current in headers:
+                raise MalformedArpa(line_no, f"repeated section header: {line!r}")
+            headers.add(current)
             section = 2
             continue
         if section == 1:
@@ -482,6 +488,8 @@ def ref_read_arpa(lines: Iterable[str]) -> ArpaModel:
             gram = tuple(fields[1].split(" "))
             if len(gram) != current or any(not w for w in gram):
                 raise MalformedArpa(line_no, f"gram does not match section order: {fields[1]!r}")
+            if gram in tables[current - 1]:
+                raise MalformedArpa(line_no, f"repeated gram: {fields[1]!r}")
             tables[current - 1][gram] = complex(logp, logbo)
             continue
         raise MalformedArpa(line_no, f"unexpected line: {line!r}")

@@ -10,8 +10,9 @@ import pytest
 
 from gectools import synth
 from gectools.cli import _check_ranges, build_parser, main
-from gectools.lm import read_arpa
+from gectools.lm import _ARPA_READ, read_arpa
 from gectools.synth import FilterConfig, SynthConfig
+from tests.conftest import make_clean_lines, make_words
 
 ORIG = "în cazul unei paciente internată joi\nmergem acasă\n"
 CORR = "în cazul unei paciente internate joi\nmergem acasă\n"
@@ -450,6 +451,14 @@ BAD_INPUTS = [
      "--mean-error-rate must be between 0 and 1, got 2.0"),
     ("lm-train-discount-2", {"in.txt": CLEAN}, ["lm-train", "in.txt", "--discount", "2"], 2,
      "--discount must be strictly between 0 and 1, got 2.0"),
+    # Standard input can feed one input of a command, not two.
+    *[(f"{argv[0]}-stdin-twice", {"-": CLEAN.encode()}, argv, 2,
+       f"error: {names} are both '-': only one input can be read from stdin")
+      for argv, names in (
+          (["extract", "-", "-"], "orig and corr"),
+          (["lm-score", "-", "-"], "model and input"),
+          (["rerank", "-", "-"], "model and nbest"),
+      )],
 ]
 
 # The same for commands that take no -o.
@@ -482,6 +491,8 @@ BAD_INPUTS_NO_OUTPUT = [
      ["score", "ref.m2"], 2, "error: the following arguments are required: hyp"),
     ("filter-unknown-flag", {"in.txt": CLEAN},
      ["filter", "in.txt", "--bogus"], 2, "error: unrecognized arguments: --bogus"),
+    ("score-stdin-twice", {"-": M2_AB.encode()}, ["score", "-", "-"], 2,
+     "error: ref and hyp are both '-': only one input can be read from stdin"),
 ]
 
 
@@ -706,3 +717,45 @@ class TestByteOrderMark:
         lexicon = Lexicon.from_file(path)
         assert lexicon.words == {"casa", "masa"}
         assert lexicon.freq("casa") == 3
+
+
+class TestModelStreams:
+    """lm-score and rerank read the same model from a plain file, from a
+    copy with a byte order mark and CRLF line ends, and from stdin."""
+
+    @pytest.fixture(scope="class")
+    def model(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("model")
+        corpus = tmp / "corpus.txt"
+        corpus.write_text("\n".join(make_clean_lines(150, make_words(200), seed=4)) + "\n", encoding="utf-8")
+        model = tmp / "model.arpa"
+        assert main(["lm-train", str(corpus), "--order", "3", "-o", str(model)]) == 0
+        return model.read_bytes()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["lm-score", "m.arpa", "in.txt"], "in.txt"),
+        (["rerank", "m.arpa", "nb.txt"], "nb.txt"),
+    ], ids=["lm-score", "rerank"])
+    def test_same_output_from_each_stream(self, tmp_path, model, argv, name):
+        sentences = make_clean_lines(6, make_words(250), seed=9)
+        if name == "in.txt":
+            text = "".join(f"{s}\n" for s in sentences)
+        else:
+            # Two hypotheses a group: the sentence and its words reversed.
+            text = "".join(f"{s}\t-1.5\n{' '.join(reversed(s.split()))}\t-1.0\n\n" for s in sentences)
+        other = {name: text}
+        # The model spans several of read_arpa's reads.
+        assert len(model) > 3 * _ARPA_READ
+        marked = BOM + model.replace(b"\n", b"\r\n")
+        runs = {}
+        for kind, files_in, model_arg in [
+            ("plain", {"m.arpa": model}, "m.arpa"),
+            ("marked", {"m.arpa": marked}, "m.arpa"),
+            ("stdin", {"-": model}, "-"),
+        ]:
+            (tmp_path / kind).mkdir()
+            argv_kind = [model_arg if arg == "m.arpa" else arg for arg in argv]
+            runs[kind] = run_cli(tmp_path / kind, {**other, **files_in}, argv_kind)
+        assert runs["plain"][0] == 0 and runs["plain"][1], runs["plain"][2]
+        assert runs["marked"] == runs["plain"]
+        assert runs["stdin"] == runs["plain"]

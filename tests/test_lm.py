@@ -325,21 +325,6 @@ class TestArpaIO:
         assert grams[:2] == [["a", "b"], ["a\x01", "b"]]
         assert grams == sorted(grams)
 
-    def test_a_line_without_its_newline_is_read_as_a_line(self):
-        # Joined without a newline, "-1\t5" and "-2\t6" would split into
-        # three fields that parse: the block's field count refuses them.
-        lines = ["\\data\\\n", "ngram 1=2\n", "\n", "\\1-grams:\n", "-1\t5", "-2\t6\n", "\n", "\\end\\\n"]
-        assert read_arpa(lines).tables == ({b"5": complex(-1, 0), b"6": complex(-2, 0)},)
-
-    def test_an_item_holding_a_newline_before_its_end_is_one_line(self):
-        # The fourth item holds a newline before its end.  Read as one
-        # line, as a line-by-line reader reads it, it is the entry of the
-        # gram "a\n-5", and the fifth item is malformed.
-        lines = ["\\data\\\n", "ngram 1=3\n", "\\1-grams:\n", "-1\ta\n-5\n", "x\t-7", "\tz\n", "\\end\\\n"]
-        with pytest.raises(MalformedArpa, match=r"^line 5: bad numeric field in 'x\\t-7'$"):
-            read_arpa(lines)
-        assert _arpa_outcome(read_arpa, lines) == _arpa_outcome(ref_read_arpa, lines)
-
     def test_read_hand_written_model(self):
         text = (
             "\\data\\\n"
@@ -524,9 +509,7 @@ def _arpa_outcome(reader, lines):
 
 
 class TestReadArpaMatchesLineReader:
-    @pytest.mark.parametrize(
-        "feed", [io.StringIO, str.splitlines], ids=["stream", "unterminated-lines"]
-    )
+    @pytest.mark.parametrize("feed", [io.StringIO], ids=["stream"])
     @settings(max_examples=400, deadline=None)
     @given(text=arpa_texts())
     def test_same_model_or_same_error(self, feed, text):
@@ -540,14 +523,11 @@ class TestReadArpaMatchesLineReader:
         assert got == _arpa_outcome(ref_read_arpa, io.StringIO(buf.getvalue()))
         assert got[0] == 3 and all(got[1])
 
-    # With reads (or joined lines) of 1 to 64 characters, headers,
-    # entries, diacritics and section ends straddle reads, sections span
-    # several chunks, and a bad line can fall in a later chunk than good
-    # ones.
+    # With reads of 1 to 64 characters, headers, entries, diacritics and
+    # section ends straddle reads, sections span several chunks, and a bad
+    # line can fall in a later chunk than good ones.
     @pytest.mark.parametrize("read", [1, 3, 5, 64])
-    @pytest.mark.parametrize(
-        "feed", [io.StringIO, str.splitlines], ids=["stream", "unterminated-lines"]
-    )
+    @pytest.mark.parametrize("feed", [io.StringIO], ids=["stream"])
     @settings(max_examples=300, deadline=None)
     @given(text=arpa_texts())
     def test_same_model_or_same_error_in_small_chunks(self, feed, read, text):
@@ -602,6 +582,48 @@ class TestReadArpaFastPath:
         got = _arpa_outcome(read_arpa, io.StringIO(text))
         assert got == _arpa_outcome(ref_read_arpa, io.StringIO(text))
         assert [len(table) for table in got[1]] == [len(table) for table in model.tables]
+
+
+class TestReadArpaRepeats:
+    """A gram listed twice in its section, or a section header given
+    twice, is an error at the line that repeats it, as in ref_read_arpa."""
+
+    @staticmethod
+    def assert_error(text, message):
+        assert _arpa_outcome(read_arpa, io.StringIO(text)) == message
+        assert _arpa_outcome(ref_read_arpa, io.StringIO(text)) == message
+
+    @pytest.mark.parametrize("declared", [2, 3])
+    def test_a_repeat_within_one_chunk(self, declared):
+        # Under "ngram 1=2" the block holds the first two entries only.
+        text = f"\\data\\\nngram 1={declared}\n\\1-grams:\n-1.0\ta\n-2.0\ta\n-3.0\tb\n\\end\\\n"
+        self.assert_error(text, "line 5: repeated gram: 'a'")
+
+    def test_a_repeat_across_chunks(self, monkeypatch):
+        model = train(make_clean_lines(40, make_words(60), seed=5), 2)
+        buf = io.StringIO()
+        write_arpa(model, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        bigrams = [i for i, line in enumerate(lines) if line.count("\t") == 1]
+        first, later = bigrams[3], bigrams[-5]
+        gram = lines[first].split("\t")[1].rstrip("\n")
+        lines[later] = lines[later].split("\t")[0] + "\t" + gram + "\n"
+        text = "".join(lines)
+        # Reads of 256 characters put the two listings many chunks apart,
+        # each in a chunk of whole entries.
+        monkeypatch.setattr(lm, "_ARPA_READ", 256)
+        assert len("".join(lines[first:later])) > 4 * 256
+        self.assert_error(text, f"line {later + 1}: repeated gram: {gram!r}")
+
+    def test_a_repeat_on_the_line_path(self, monkeypatch):
+        monkeypatch.setattr(lm, "_parse_entries", lambda *args: False)
+        text = "\\data\\\nngram 1=1\nngram 2=3\n\\1-grams:\n-1\ta\t-0.5\n\\2-grams:\n-1\ta a\n-2\ta b\n-3\ta a\n\\end\\\n"
+        self.assert_error(text, "line 9: repeated gram: 'a a'")
+
+    @pytest.mark.parametrize("header", ["\\1-grams:", "\\01-grams:"])
+    def test_a_repeated_section_header(self, header):
+        text = f"\\data\\\nngram 1=1\n\\1-grams:\n-1\ta\n{header}\n-2\ta\n\\end\\\n"
+        self.assert_error(text, f"line 5: repeated section header: {header!r}")
 
 
 class TestReadArpaMemory:
