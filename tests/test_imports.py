@@ -10,7 +10,7 @@ import textwrap
 
 import pytest
 
-from tests.test_golden import INPUT, ROOT
+from tests.test_golden import CASES, INPUT, ROOT
 
 
 def modules_after(code: str) -> set[str]:
@@ -44,13 +44,23 @@ def test_cli_loads_neither_lm_nor_synth():
          {"gectools.synth", "gectools.lexicon", "multiprocessing"}),
         (["extract", str(INPUT / "wrong.txt"), str(INPUT / "hyp.txt")],
          {"gectools.lm", "gectools.synth", "multiprocessing"}),
+        (CASES["lm_score"], {"gectools.synth", "gectools.lexicon", "multiprocessing"}),
+        (CASES["rerank"], {"gectools.synth", "gectools.lexicon", "multiprocessing"}),
+        (CASES["score"], {"gectools.lm", "gectools.synth", "gectools.lexicon"}),
+        (CASES["stats"], {"gectools.lm", "gectools.synth", "gectools.lexicon"}),
+        (CASES["filter"], {"gectools.lm", "multiprocessing"}),
+        (CASES["extract_conllu"], {"gectools.lm", "gectools.synth"}),
     ],
-    ids=["synth-jobs-1", "lm-train", "extract"],
+    ids=["synth-jobs-1", "lm-train", "extract", "lm-score", "rerank", "score", "stats", "filter", "extract-conllu"],
 )
 def test_command_loads_only_what_it_uses(tmp_path, argv, unused):
+    # score and stats print to stdout; they have no -o.
+    output = [] if argv[0] in ("score", "stats") else ["-o", str(tmp_path / "out")]
     loaded = modules_after(f"""
+        import contextlib, io
         from gectools.cli import main
-        assert main({[*argv, "-o", str(tmp_path / "out")]!r}) == 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main({[*argv, *output]!r}) == 0
     """)
     assert loaded.isdisjoint(unused), loaded & unused
 
