@@ -26,7 +26,7 @@ _MODULES = {
     "lm": ("ArpaModel", "Hypothesis", "count_ngrams", "logprob", "normalized_logprob", "perplexity",
            "read_arpa", "read_nbest", "rerank", "train_kneser_ney", "write_arpa"),
     "m2": ("read_m2", "write_m2"),
-    "score": ("CorpusStats", "ScoreReport", "compare", "corpus_stats", "f_beta", "format_stats",
+    "score": ("CorpusStats", "ScoreReport", "corpus_stats", "f_beta", "format_stats",
               "group_of", "score_corpus"),
     "synth": ("ConfusionProvider", "CorruptionStats", "FilterConfig", "SynthConfig", "SynthStats",
               "corrupt_sentence", "diacritic_ratio", "filter_sentence", "generate_corpus"),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
@@ -52,72 +51,70 @@ def _check_block(block: list[tuple[str, str, str]], first_line_no: int) -> list[
     return checked
 
 
-@dataclass(frozen=True)
+def _folded(words: Iterable[str], frequencies: Mapping[str, int]) -> dict[str, int]:
+    table: dict[str, int] = {}
+    for word in words:
+        word = word.strip()
+        if any(ch.isspace() for ch in word):
+            raise ValueError(f"word {word!r} contains whitespace")
+        if word:
+            table[word.lower()] = 0
+    for word, count in frequencies.items():
+        key = word.strip().lower()
+        if key not in table:
+            raise ValueError(f"frequency given for {word!r}, which is not a word of the lexicon")
+        count = int(count)
+        if count < 0:
+            raise ValueError(f"frequency {count} of {word!r} is negative")
+        table[key] += count
+    if not table:
+        raise ValueError("lexicon must contain at least one word")
+    return table
+
+
 class Lexicon:
     """A case-insensitive word list with frequencies, held as one table.
 
-    frequencies maps every lowercased word to its summed frequency (0
-    when none was given); it is the only copy of the words, held behind
-    a read-only proxy, so writing to it raises TypeError.  Lexicon(table)
-    copies the mapping it is given, so the caller's table stays the
-    caller's; from_file and from_words hand over a dict of their own
-    uncopied.  words is a read-only view of its keys, which supports
-    membership, iteration and set operations.
+    Each key of the table is a word, stripped, lowercased and free of
+    whitespace, mapped to the summed non-negative frequencies of the
+    words that fold to it (0 when none was given).  Lexicon(table),
+    from_words and from_file share this rule; Lexicon(table) builds a
+    table of its own, so the caller's table stays the caller's.  The
+    table is the only copy of the words: frequencies shows it read-only
+    (writing raises TypeError), and words is a read-only view of its keys.
     """
 
-    frequencies: Mapping[str, int]
-
-    def __post_init__(self):
-        self._hold(dict(self.frequencies))
-
-    def _hold(self, table: dict[str, int]) -> None:
-        if not table:
-            raise ValueError("lexicon must contain at least one word")
-        object.__setattr__(self, "frequencies", MappingProxyType(table))
+    def __init__(self, frequencies: Mapping[str, int]):
+        self._table = _folded(frequencies, frequencies)
 
     @classmethod
-    def _taking(cls, table: dict[str, int]) -> "Lexicon":
-        """A lexicon holding table itself: a dict that no one else holds."""
-        lexicon = object.__new__(cls)
-        lexicon._hold(table)
+    def _holding(cls, table: dict[str, int]) -> "Lexicon":
+        """A lexicon holding table itself: a folded dict that no one else holds."""
+        lexicon = cls.__new__(cls)
+        lexicon._table = table
         return lexicon
 
-    def __reduce__(self):
-        # A proxy does not pickle; the plain table it shows does.
-        return type(self)._taking, (dict(self.frequencies),)
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Lexicon) and self._table == other._table
+
+    @property
+    def frequencies(self) -> Mapping[str, int]:
+        return MappingProxyType(self._table)
 
     @property
     def words(self) -> KeysView[str]:
-        return self.frequencies.keys()
+        return self._table.keys()
 
     @classmethod
-    def from_words(cls, words: Iterable[str], frequencies: dict[str, int] | None = None) -> "Lexicon":
-        """A lexicon of words, by from_file's rules.
+    def from_words(cls, words: Iterable[str], frequencies: Mapping[str, int] | None = None) -> "Lexicon":
+        """A lexicon of words, by the class's rule.
 
-        Each word is stripped of surrounding whitespace and lowercased;
-        an empty word is skipped, and one that still holds whitespace
-        raises ValueError.  frequencies maps words (stripped and
-        lowercased the same way) to non-negative frequencies, and words
-        that fold to the same lowercased word sum theirs.  A frequency
-        for a word that is not in words, or one below 0, raises
-        ValueError.
+        An empty word is skipped; frequencies maps words, folded the same
+        way, to their frequencies.  A word that holds whitespace once
+        stripped, a frequency for a word not in words or below 0, or no
+        word at all raises ValueError.
         """
-        table: dict[str, int] = {}
-        for word in words:
-            word = word.strip()
-            if any(ch.isspace() for ch in word):
-                raise ValueError(f"word {word!r} contains whitespace")
-            if word:
-                table[word.lower()] = 0
-        for word, count in (frequencies or {}).items():
-            key = word.strip().lower()
-            if key not in table:
-                raise ValueError(f"frequency given for {word!r}, which is not a word of the lexicon")
-            count = int(count)
-            if count < 0:
-                raise ValueError(f"frequency {count} of {word!r} is negative")
-            table[key] += count
-        return cls._taking(table)
+        return cls._holding(_folded(words, frequencies or {}))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
@@ -155,17 +152,17 @@ class Lexicon:
                 first += len(block)
         if not table:
             raise EmptyInput(f"{path}: lexicon has no words")
-        return cls._taking(table)
+        return cls._holding(table)
 
     def __contains__(self, word: str) -> bool:
-        return word.lower() in self.frequencies
+        return word.lower() in self._table
 
     def __len__(self) -> int:
-        return len(self.frequencies)
+        return len(self._table)
 
     def freq(self, word: str) -> int:
-        return self.frequencies.get(word.lower(), 0)
+        return self._table.get(word.lower(), 0)
 
     @cached_property
     def sorted_words(self) -> tuple[str, ...]:
-        return tuple(sorted(self.frequencies))
+        return tuple(sorted(self._table))

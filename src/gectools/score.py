@@ -69,12 +69,6 @@ def _match_edits(
     return matched, missed, unmatched
 
 
-def compare(ref_edits: Sequence[Edit], hyp_edits: Sequence[Edit]) -> tuple[int, int, int]:
-    """(tp, fp, fn) between one sentence's reference and hypothesis edits."""
-    matched, missed, unmatched = _match_edits(ref_edits, hyp_edits)
-    return len(matched), len(unmatched), len(missed)
-
-
 @dataclass
 class TypeCounts:
     tp: int = 0

@@ -80,10 +80,9 @@ def diacritic_ratio(text: str) -> float:
 
 
 def _final_period_is_abbreviation(text: str) -> bool:
-    chunks = text.split()
-    if not chunks:
-        return False
-    last = chunks[-1]
+    """Whether text's last chunk, its punctuation peeled, is an
+    abbreviation; text holds a ".", so it has a last chunk."""
+    last = text.split()[-1]
     start, end = peel_punct(last)
     return last[start:end].lower() in ABBREVIATIONS
 
@@ -349,9 +348,9 @@ def corrupt_sentence(
         for pos in rng.sample(range(n), n_changed):
             op = _draw_op(rng)
             stats.word_ops[op] += 1
-            cur = next((i for i, (orig, _) in enumerate(slots) if orig == pos), None)
-            if cur is None:
-                continue
+            # The sampled positions are distinct and a delete removes only
+            # the current slot, so each position still has its slot here.
+            cur = next(i for i, (orig, _) in enumerate(slots) if orig == pos)
             if op == "substitute":
                 candidates = provider.confusion_set(slots[cur][1], cfg.confusion_size)
                 if candidates:

@@ -568,21 +568,6 @@ def mc_clamped_normal_mean(mu: float, sigma: float, draws: int, seed: int) -> fl
     return acc / draws
 
 
-def mc_changed_fraction(mu: float, sigma: float, lengths, draws: int, seed: int) -> float:
-    """Expected changed-word fraction: a clamped normal rate is scaled
-    by the sentence length, rounded half away from zero, and divided by
-    the length again.  lengths: the sentence-length population."""
-    rng = random.Random(seed)
-    lengths = list(lengths)
-    acc = 0.0
-    for _ in range(draws):
-        n = lengths[rng.randrange(len(lengths))]
-        x = rng.gauss(mu, sigma)
-        p = 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
-        acc += int(p * n + 0.5) / n
-    return acc / draws
-
-
 # --- F-beta reference -------------------------------------------------------
 
 

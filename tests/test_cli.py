@@ -618,6 +618,28 @@ class TestOutputFile:
         assert out.stat().st_mode & 0o777 == 0o640
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*paths, "out.tsv"])
 
+    def test_missing_directory_is_one_error_line(self, tmp_path, capsys):
+        paths = write_files(tmp_path, {"in.txt": CLEAN, "m.arpa": MODEL})
+        out = tmp_path / "missing" / "out.tsv"
+        assert main(["lm-score", paths["m.arpa"], paths["in.txt"], "-o", str(out)]) == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1 and str(out) in stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(paths)
+
+    def test_read_only_target_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # Write permission is checked with os.access, which passes any file
+        # for root, so the check is made to fail.
+        paths = write_files(tmp_path, {"in.txt": CLEAN, "m.arpa": MODEL})
+        out = tmp_path / "out.tsv"
+        out.write_text("earlier\n", encoding="utf-8")
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode, **kw: mode != os.W_OK and access(path, mode, **kw))
+        assert main(["lm-score", paths["m.arpa"], paths["in.txt"], "-o", str(out)]) == 1
+        stderr = capsys.readouterr().err
+        assert stderr == f"error: [Errno 13] Permission denied: {str(out)!r}\n"
+        assert out.read_text(encoding="utf-8") == "earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*paths, "out.tsv"])
+
     def test_non_regular_target_is_written_in_place(self, tmp_path):
         returncode, stdout, stderr = run_cli(
             tmp_path, {"in.txt": CLEAN, "m.arpa": MODEL},

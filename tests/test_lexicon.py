@@ -82,6 +82,21 @@ class TestOneTable:
             Lexicon.from_words(["", "  "])
 
 
+class TestTableRules:
+    """Lexicon(table) builds its table by from_words's rules."""
+
+    def test_words_fold_and_their_frequencies_sum(self):
+        lex = Lexicon({"Casa": 1, "casa": 2, " masa": "4"})
+        assert lex.frequencies == {"casa": 3, "masa": 4}
+        assert "CASA" in lex and lex.freq("Casa") == 3
+        assert lex == Lexicon.from_words(["Casa", "casa", " masa"], {"Casa": 1, "casa": 2, " masa": 4})
+
+    @pytest.mark.parametrize("table", [{"a b": 1}, {"x": -1}], ids=["whitespace", "negative"])
+    def test_a_bad_table_is_refused(self, table):
+        with pytest.raises(ValueError):
+            Lexicon(table)
+
+
 class TestFileErrors:
     def test_errors_name_the_file_and_dash_is_a_file_name(self, tmp_path, monkeypatch):
         # "-" is a file here, not standard input.

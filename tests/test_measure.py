@@ -123,6 +123,10 @@ class TestGain:
     def test_eight_of_ten_pairs_is_not_enough(self):
         assert measure._gain([1.0] * 10, [0.9] * 8 + [1.1] * 2, lower=True)[::2] == (8, False)
 
+    def test_fewer_than_ten_pairs_never_hold(self):
+        # Four clear wins, the gap far past the parent's spread.
+        assert measure._gain([1.0, 1.01] * 2, [0.5] * 4, lower=True)[::2] == (4, False)
+
     def test_ties_count_for_neither_side(self):
         # The two ties leave 8 pairs won, not 10.
         assert measure._gain([1.0] * 10, [0.9] * 8 + [1.0] * 2, lower=True)[::2] == (8, False)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gectools.align import Edit
 from gectools.errors import LengthMismatch
 from gectools.score import (
-    compare,
     corpus_stats,
     f_beta,
     format_stats,
@@ -50,30 +49,38 @@ class TestFBeta:
         assert f_beta(p, r, beta) == pytest.approx(ref_f_beta(p, r, beta), abs=1e-12)
 
 
+def counts(ref_edits, hyp_edits):
+    """(tp, fp, fn) of score_corpus on one sentence's edits."""
+    report = score_corpus([ref_edits], [hyp_edits])
+    return report.tp, report.fp, report.fn
+
+
 class TestCompare:
+    """How one sentence's hypothesis edits match its reference edits."""
+
     def test_exact_match(self):
         ref = [edit(0, 1, "a"), edit(2, 3, "b")]
-        assert compare(ref, list(ref)) == (2, 0, 0)
+        assert counts(ref, list(ref)) == (2, 0, 0)
 
     def test_type_ignored_in_matching(self):
-        assert compare([edit(0, 1, "a", "ORTH")], [edit(0, 1, "a", "SPELL")]) == (1, 0, 0)
+        assert counts([edit(0, 1, "a", "ORTH")], [edit(0, 1, "a", "SPELL")]) == (1, 0, 0)
 
     def test_correction_text_matters(self):
-        assert compare([edit(0, 1, "a")], [edit(0, 1, "b")]) == (0, 1, 1)
+        assert counts([edit(0, 1, "a")], [edit(0, 1, "b")]) == (0, 1, 1)
 
     def test_span_matters(self):
-        assert compare([edit(0, 1, "a")], [edit(0, 2, "a")]) == (0, 1, 1)
+        assert counts([edit(0, 1, "a")], [edit(0, 2, "a")]) == (0, 1, 1)
 
     def test_duplicates_need_duplicates(self):
         two = [edit(0, 1, "a"), edit(0, 1, "a")]
         one = [edit(0, 1, "a")]
-        assert compare(two, one) == (1, 0, 1)
-        assert compare(one, two) == (1, 1, 0)
+        assert counts(two, one) == (1, 0, 1)
+        assert counts(one, two) == (1, 1, 0)
 
     def test_empty_sides(self):
-        assert compare([], []) == (0, 0, 0)
-        assert compare([edit(0, 1, "a")], []) == (0, 0, 1)
-        assert compare([], [edit(0, 1, "a")]) == (0, 1, 0)
+        assert counts([], []) == (0, 0, 0)
+        assert counts([edit(0, 1, "a")], []) == (0, 0, 1)
+        assert counts([], [edit(0, 1, "a")]) == (0, 1, 0)
 
 
 class TestScoreCorpus:

@@ -102,6 +102,14 @@ class TestConfusionProvider:
         first = provider.confusion_set("casa", 2)
         assert provider.confusion_set("casa", 2) == first
 
+    def test_cache_starts_over_at_its_limit_with_the_same_answers(self, provider, monkeypatch):
+        queries = ["casa", "masa", "Casa", "ceva", "xyzqw", "casa", "masa"]
+        expected = [provider.confusion_set(word, 2) for word in queries]
+        monkeypatch.setattr(synth, "CONFUSION_CACHE_LIMIT", 2)
+        limited = ConfusionProvider(provider.lexicon)
+        assert [limited.confusion_set(word, 2) for word in queries] == expected
+        assert len(limited._cache) <= 2 < len(provider._cache)
+
 
 def noisy_queries(words, n, seed):
     """n lexicon words with 0-3 random character edits, some upper-cased

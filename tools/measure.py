@@ -40,6 +40,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# Fewer pairs give no gain verdict: an A/A run of 4 pairs has read as a gain.
+MIN_GAIN_PAIRS = 10
+
 # The rss child, on argv work directory, workload, perfbench directory: prints [[stage, peak MB,
 # current MB], ...].  Its text is part of the heap it measures, so edits move the readings.
 RSS_CHILD = """
@@ -131,13 +134,14 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def _gain(before: list[float], after: list[float], lower: bool) -> tuple[int, float, bool]:
     """(pairs the change read better, ties for neither side; the median gap
-    in the better direction; whether a gain holds: the change better in at
-    least nine tenths of the pairs, the gap wider than the parent's quartile spread)."""
+    in the better direction; whether a gain holds: at least MIN_GAIN_PAIRS
+    pairs, the change better in at least nine tenths of them, the gap wider
+    than the parent's quartile spread)."""
     b1, b2, b3 = _quartiles(before)
     won = sum(1 for b, a in zip(before, after) if (a < b if lower else a > b))
     a2 = _quartiles(after)[1]
     gap = (b2 - a2) if lower else (a2 - b2)
-    return won, gap, won >= 0.9 * len(before) and gap > b3 - b1
+    return won, gap, len(before) >= MIN_GAIN_PAIRS and won >= 0.9 * len(before) and gap > b3 - b1
 
 
 def _regression(before: list[float], after: list[float], bound: float, lower: bool) -> tuple[float, str]:
@@ -169,6 +173,7 @@ def pairs(args) -> None:
             print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
 
     parent, change = args.checkouts
+    too_few = f" (fewer than {MIN_GAIN_PAIRS} pairs)" if args.pairs < MIN_GAIN_PAIRS else ""
     print(f"workload {args.workload} seed {args.seed}: {args.pairs} alternating pairs, --seconds {args.seconds:g}")
     print(f"parent {parent}\nchange {change}")
     for m in metrics:
@@ -181,7 +186,7 @@ def pairs(args) -> None:
         print(f"{name} ({m['unit']}, {m['better']} is better): "
               f"parent {b2:.4f} [{b1:.4f}, {b3:.4f}] -> change {a2:.4f} [{a1:.4f}, {a3:.4f}], "
               f"change better in {won}/{args.pairs}; median gap {gap:+.4f} against parent quartile "
-              f"spread {b3 - b1:.4f}: gain {'holds' if holds else 'does not hold'}; "
+              f"spread {b3 - b1:.4f}: gain {'holds' if holds else 'does not hold' + too_few}; "
               f"regression {worse:+.2%} of the parent's median against bound {m['bound']:.0%}, "
               f"parent spread {(b3 - b1) / b2:.2%}: {verdict}")
     shared = sorted(set(digests[parent]) & set(digests[change]))
