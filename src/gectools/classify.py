@@ -23,18 +23,14 @@ from typing import TYPE_CHECKING, Iterable
 from gectools.align import Edit, extract_edits
 from gectools.errors import MissingAnnotations
 from gectools.kernels import lcs_length
-from gectools.text import Sentence, Token
+from gectools.text import UD_UPOS, Sentence, Token
 
 if TYPE_CHECKING:  # annotations only: commands without a lexicon never load it
     from gectools.lexicon import Lexicon
 
-# Tags that may appear in POS:<T> and POS:<T>:FORM labels.
-POS_TAGS = frozenset(
-    {
-        "NOUN", "VERB", "ADJ", "ADV", "PRON", "DET", "ADP",
-        "CCONJ", "SCONJ", "PUNCT", "NUM", "PART", "INTJ", "AUX",
-    }
-)
+# Tags that may appear in POS:<T> and POS:<T>:FORM labels: the UD tags
+# but proper nouns, symbols and other.
+POS_TAGS = UD_UPOS - {"PROPN", "SYM", "X"}
 
 
 def char_overlap_ratio(a: str, b: str) -> float:

@@ -63,7 +63,11 @@ def _folded(words: Iterable[str], frequencies: Mapping[str, int]) -> dict[str, i
         key = word.strip().lower()
         if key not in table:
             raise ValueError(f"frequency given for {word!r}, which is not a word of the lexicon")
-        count = int(count)
+        # int() would also truncate 2.7, read True as 1 and "1_0" as 10.
+        if isinstance(count, str) and ASCII_DIGITS.fullmatch(count):
+            count = int(count)
+        elif not isinstance(count, int) or isinstance(count, bool):
+            raise ValueError(f"frequency {count!r} of {word!r} is neither an int nor ASCII digits")
         if count < 0:
             raise ValueError(f"frequency {count} of {word!r} is negative")
         table[key] += count
@@ -110,9 +114,10 @@ class Lexicon:
         """A lexicon of words, by the class's rule.
 
         An empty word is skipped; frequencies maps words, folded the same
-        way, to their frequencies.  A word that holds whitespace once
-        stripped, a frequency for a word not in words or below 0, or no
-        word at all raises ValueError.
+        way, to their frequencies, each an int or a str of ASCII digits.
+        A word that holds whitespace once stripped, a frequency for a word
+        not in words, of another type or below 0, or no word at all raises
+        ValueError.
         """
         return cls._holding(_folded(words, frequencies or {}))
 

@@ -366,53 +366,30 @@ _ARPA_READ = 32 * 1024
 _NOT_LAYOUT = bytes(b for b in range(256) if b not in b"\t\n ")
 
 
-def _stream_chunks(source: IO[str]) -> Iterator[str]:
-    """The text of a stream in chunks of whole lines: each read of
-    _ARPA_READ characters is cut at its last newline.  The last chunk
-    lacks a newline when the stream ends without one."""
-    tail = ""
-    while piece := source.read(_ARPA_READ):
-        cut = piece.rfind("\n") + 1
-        if cut:
-            yield tail + piece[:cut]
-            tail = piece[cut:]
-        else:
-            tail += piece
-    if tail:
-        yield tail
-
-
-def _entry_layout(data: bytes, n: int) -> tuple[int, int]:
-    """(lines, width) when data is order-n entry lines of width fields
-    each, judged by their tabs, spaces and newlines alone; else (0, 0).
+def _parse_entries(data: bytes, n: int, left: int, table: dict[bytes, complex]) -> int:
+    """Add the entries of data to table and return how many there are,
+    when data is 1 to left order-n entry lines that parse whole; else
+    return 0 and leave table with the grams it had.
 
     data is whole lines: it ends with a newline or holds none.  With
-    every other byte deleted, an entry line is a tab, n - 1 spaces, then
-    a tab and a newline (3 fields) or a newline (2 fields).  What is left
-    of data must be that pattern repeated once per line: this one
-    comparison fixes each line's field count, each gram's word count and
-    the number of lines.
-    """
-    skeleton = data.translate(None, _NOT_LAYOUT)
-    width = 3 if skeleton[n : n + 1] == b"\t" else 2
-    line = b"\t" + b" " * (n - 1) + (b"\t\n" if width == 3 else b"\n")
-    lines = len(skeleton) // len(line)
-    if not lines or skeleton != line * lines:
-        return 0, 0
-    return lines, width
+    every byte but tabs, spaces and newlines deleted, an entry line is a
+    tab, n - 1 spaces, then a tab and a newline (3 fields) or a newline
+    (2 fields).  What is left of data must be that pattern repeated once
+    per line: this one comparison fixes each line's field count, each
+    gram's word count and the number of lines.
 
-
-def _parse_entries(data: bytes, width: int, table: dict[bytes, complex]) -> bool:
-    """Add the entries of data, whose lines _entry_layout found to hold
-    width fields each and grams of the section's order, to table and
-    return True, or return False and leave table with the grams it had.
-
-    False means some gram holds an empty word, some number may be
+    0 also means that some gram holds an empty word, some number may be
     malformed, or some gram is listed twice, in data or before it; the
     caller then parses the lines one by one, which reports the first bad
     line.  Only in the last case may the entry of a gram listed before
     data have changed, and the line path then raises at its repeat.
     """
+    skeleton = data.translate(None, _NOT_LAYOUT)
+    width = 3 if skeleton[n : n + 1] == b"\t" else 2
+    line = b"\t" + b" " * (n - 1) + (b"\t\n" if width == 3 else b"\n")
+    lines = len(skeleton) // len(line)
+    if not 0 < lines <= left or skeleton != line * lines:
+        return 0
     fields = data.replace(b"\n", b"\t").split(b"\t")
     fields.pop()  # the empty field after the last newline
     grams = fields[1::width]
@@ -421,7 +398,7 @@ def _parse_entries(data: bytes, width: int, table: dict[bytes, complex]) -> bool
     # joined grams.
     joined = b" ".join(grams)
     if not joined or joined.startswith(b" ") or joined.endswith(b" ") or b"  " in joined:
-        return False
+        return 0
     # float() also takes "1_0", "nan", "inf" and "1e999" (as inf).  On
     # bytes it takes ASCII alone and strips no "\x1c" to "\x1f", so a
     # field with other digits or such a byte fails it.  Number fields
@@ -431,23 +408,23 @@ def _parse_entries(data: bytes, width: int, table: dict[bytes, complex]) -> bool
     logp_fields = fields[0::width]
     logbo_fields = fields[2::width] if width == 3 else []
     if b"_" in data and b"_" in b"".join(logp_fields + logbo_fields):
-        return False
+        return 0
     try:
         logps = list(map(float, logp_fields))
         logbos = list(map(float, logbo_fields))
     except ValueError:
-        return False
+        return 0
     if not math.isfinite(sum(logps) + sum(logbos)):
-        return False
+        return 0
     before = len(table)
     table.update(zip(grams, map(complex, logps, logbos if width == 3 else repeat(0.0))))
     if len(table) - before == len(grams):
-        return True
+        return lines
     # Some gram is listed twice.  The grams data added are the last ones
     # of the table, which keeps insertion order: take them out again.
     for gram in list(islice(table, before, None)):
         del table[gram]
-    return False
+    return 0
 
 
 def _entry_line(line_no: int, line: str, n: int, table: dict[bytes, complex]) -> None:
@@ -471,21 +448,31 @@ def _entry_line(line_no: int, line: str, n: int, table: dict[bytes, complex]) ->
 
 class _ArpaText:
     """The text of an ARPA stream, read as lines or, after a section
-    header, as chunks of entry lines."""
+    header, as blocks of entry lines.  The stream is read _ARPA_READ
+    characters at a time and each read cut at its last newline, so the
+    text held is whole lines but at the end of a stream without a final
+    newline."""
 
     def __init__(self, source: IO[str]):
-        self._chunks = _stream_chunks(source)
+        self._source = source
         self._text = ""
         self._pos = 0  # where the text not yet read starts
+        self._tail: str | None = ""  # read after the last newline; None at the end
 
     def _more(self) -> bool:
-        """Whether text is left to read; moves on to the next chunk when
-        the current one is read."""
+        """Whether text is left to read; reads on when the text held is
+        read."""
         while self._pos == len(self._text):
-            chunk = next(self._chunks, None)
-            if chunk is None:
+            if self._tail is None:
                 return False
-            self._text, self._pos = chunk, 0
+            piece = self._source.read(_ARPA_READ)
+            cut = piece.rfind("\n") + 1
+            if cut:
+                self._text, self._pos, self._tail = self._tail + piece[:cut], 0, piece[cut:]
+            elif piece:
+                self._tail += piece
+            else:
+                self._text, self._pos, self._tail = self._tail, 0, None
         return True
 
     def line(self) -> str | None:
@@ -498,28 +485,23 @@ class _ArpaText:
 
     def entries(self, n: int, left: int, table: dict[bytes, complex]) -> int:
         """Add the order-n entries of the next lines, up to the end of the
-        current chunk and at most left of them, to table and return how
-        many were read; or return 0, reading nothing, when those lines do
-        not parse whole."""
+        text held and at most left of them, to table and return how many
+        were read; or return 0, reading nothing, when those lines do not
+        parse whole."""
         if not self._more():
             return 0
         text = self._text[self._pos :]
-        data = text.encode(*_ENCODING)
-        lines, width = _entry_layout(data, n)
-        if not 0 < lines <= left:
-            # The section may end in this chunk: try its first left lines.
-            if text.count("\n") < left:
-                return 0
+        parsed = _parse_entries(text.encode(*_ENCODING), n, left, table)
+        if not parsed and text.count("\n") >= left:
+            # The section may end in this text: offer its first left lines.
             cut = 0
             for _ in range(left):
                 cut = text.index("\n", cut) + 1
             text = text[:cut]
-            data = text.encode(*_ENCODING)
-            lines, width = _entry_layout(data, n)
-        if not lines or not _parse_entries(data, width, table):
-            return 0
-        self._pos += len(text)
-        return lines
+            parsed = _parse_entries(text.encode(*_ENCODING), n, left, table)
+        if parsed:
+            self._pos += len(text)
+        return parsed
 
 
 def read_arpa(source: IO[str]) -> ArpaModel:
@@ -533,7 +515,7 @@ def read_arpa(source: IO[str]) -> ArpaModel:
     section lists each gram once, and its header comes once.
 
     The lines after a section header, as many as the header declared,
-    are parsed a chunk at a time (see _entry_layout and _parse_entries),
+    are parsed a chunk at a time (see _parse_entries),
     with no str made per line.  From the first chunk that does not parse
     whole up to the next section header, lines are read one by one
     instead, so errors and their line numbers are those of a plain
@@ -596,7 +578,7 @@ def read_arpa(source: IO[str]) -> ArpaModel:
             declared.append(count)
             tables.append({})
             continue
-        if section == 2 and current > 0:
+        if section == 2:
             _entry_line(line_no, line, current, tables[current - 1])
             continue
         raise MalformedArpa(line_no, f"unexpected line: {line!r}")

@@ -311,6 +311,15 @@ class TestLmAndRerank:
         assert text.startswith("\\data\\")
         assert "\\end\\" in text
 
+    def test_train_reads_a_stdin_without_a_byte_buffer(self, files, capsys, monkeypatch):
+        # An io.StringIO stands for a stdin that decodes its own text.
+        write, tmp = files
+        model = tmp / "model.arpa"
+        assert main(["lm-train", write("corpus.txt", self.CORPUS), "-o", str(model)]) == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self.CORPUS))
+        assert main(["lm-train", "-"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == model.read_bytes()
+
     def test_fixed_discount_flag(self, files):
         write, tmp = files
         inp = write("corpus.txt", self.CORPUS)

@@ -96,6 +96,14 @@ class TestTableRules:
         with pytest.raises(ValueError):
             Lexicon(table)
 
+    # int() would read these as 2, 2, 1, 10 and 4; a file refuses them all.
+    @pytest.mark.parametrize("freq", [2.7, 2.9, True, "1_0", " 4"])
+    def test_a_frequency_that_is_not_a_whole_number_is_refused(self, freq):
+        with pytest.raises(ValueError, match="neither an int nor ASCII digits"):
+            Lexicon({"casa": freq})
+        with pytest.raises(ValueError, match="neither an int nor ASCII digits"):
+            Lexicon.from_words(["casa"], {"casa": freq})
+
 
 class TestFileErrors:
     def test_errors_name_the_file_and_dash_is_a_file_name(self, tmp_path, monkeypatch):

@@ -68,6 +68,10 @@ class TestCounting:
         assert counts[2] == {b"<s> <s> a": 1, b"<s> a </s>": 1}
         assert counts[1][b"<s> <s>"] == 1
 
+    def test_order_below_1_is_refused(self):
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            count_ngrams([sent("a")], 0)
+
     @settings(max_examples=200, deadline=None)
     @given(
         texts=st.lists(st.lists(st.sampled_from(["a", "b", "ă", "<s>", "</s>", "a\x01"]), max_size=6), max_size=4),
@@ -297,6 +301,14 @@ class TestArpaIO:
     def test_malformed(self, text):
         with pytest.raises(MalformedArpa):
             read_arpa(io.StringIO(text))
+
+    # The stream ends where the section's entries are read as a block.
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "no-newline"])
+    def test_stream_ending_after_a_section_header(self, end):
+        text = "\\data\\\nngram 1=1\n\n\\1-grams:" + end
+        expect = "line 4: missing \\end\\ marker"
+        assert _arpa_outcome(read_arpa, io.StringIO(text)) == expect
+        assert _arpa_outcome(ref_read_arpa, io.StringIO(text)) == expect
 
     @pytest.mark.parametrize("words", [["a", "b", "c"], ["a", "a\x01", "b"]], ids=["plain", "below-space"])
     def test_sections_sorted_word_by_word(self, words):

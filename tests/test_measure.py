@@ -83,6 +83,40 @@ def test_refused_before_any_run(tmp_path, mode, names, message):
     assert not list(tmp_path.glob("*/ran"))
 
 
+# A perfbench/run.py that prints one output digest and a fixed result line.
+FAKE_RUN = """import json
+print("sha256 {digest} out/0.m2")
+metrics = {{name: {{"value": 1.0}} for name in ("wall_s", "peak_rss_mb", "setup_s")}}
+print(json.dumps({{"metrics": metrics, "failed": {failed}, "attempted": 2}}))
+"""
+
+
+@pytest.mark.parametrize(
+    "change, returncode, error",
+    [
+        ({"digest": "aa", "failed": 0}, 0, None),
+        ({"digest": "bb", "failed": 0}, 1, "error: the outputs do not compare: 1 of 1 shared output files differ, "
+                                           "0 failed items"),
+        ({"digest": "aa", "failed": 1}, 1, "error: the outputs do not compare: 0 of 1 shared output files differ, "
+                                           "1 failed items"),
+    ],
+    ids=["same", "digests-differ", "item-failed"],
+)
+def test_pairs_fails_when_the_outputs_differ(tmp_path, change, returncode, error):
+    for name, fake in (("a", {"digest": "aa", "failed": 0}), ("b", change)):
+        (tmp_path / name / "src").mkdir(parents=True)
+        (tmp_path / name / "perfbench").mkdir()
+        (tmp_path / name / "perfbench" / "run.py").write_text(FAKE_RUN.format(**fake))
+    result = subprocess.run([sys.executable, str(MEASURE), *MODES["pairs"], "a", "b"], cwd=tmp_path,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == returncode, result.stderr
+    assert "sha256: 1 shared output files, " in result.stdout
+    assert "change failed items: " in result.stdout.splitlines()[-1]
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ([error] if error else [])
+    assert not error or result.stderr.splitlines()[-1] == error
+
+
 def test_rounds_rotate_which_checkout_goes_first():
     assert [(i, c) for i, _, c in measure._rounds(["p", "c"], 3)] == [
         (0, "p"), (0, "c"), (1, "c"), (1, "p"), (2, "p"), (2, "c")]

@@ -209,6 +209,9 @@ class TestStats:
         assert stats.percent("ORTH") == pytest.approx(25.0)
         assert stats.percent("ORDER") == 0.0
 
+    def test_corpus_stats_of_no_edits_is_zero_percent(self):
+        assert corpus_stats([]).percent("POS") == 0.0
+
     def test_format_stats_lists_groups(self):
         lists = [[edit(0, 1, "a", "MORPH")]]
         text = format_stats(corpus_stats(lists))

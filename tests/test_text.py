@@ -173,6 +173,13 @@ class TestParseConllu:
             parse_conllu(io.StringIO(self.token_lines("1", token_id, "2")))
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("form", ["_", ""], ids=["underscore", "empty"])
+    def test_a_missing_form_is_refused_on_its_line(self, form):
+        lines = ["1\tcasa\tcasă\tNOUN\t_\t_\t0\troot\t_\t_\n", f"2\t{form}\t_\tNOUN\t_\t_\t1\tobj\t_\t_\n"]
+        with pytest.raises(MalformedLine) as err:
+            parse_conllu(io.StringIO("".join(lines)))
+        assert (err.value.line_no, str(err.value)) == (2, f"line 2: bad token form: {form!r}")
+
     def test_bad_upos(self):
         bad = "1\tcasa\tcasă\tWRONG\t_\t_\t0\troot\t_\t_\n"
         with pytest.raises(MalformedLine):

@@ -15,7 +15,8 @@ seed, no bytecode written) on shard 0 of perfbench/run.py's inputs for --seed.
 pairs: alternating `perfbench/run.py --trace 0` runs, each checkout's own
 perfbench on its own src/.  Per end-to-end metric of BENCHMARK.json, each
 side's median and quartiles, the gain rule (_gain) and the regression
-verdict (_regression); then differing sha256 digests and failed items.
+verdict (_regression); then differing sha256 digests and failed items,
+either of which ends the run with exit status 1.
 
 rss: the peak (ru_maxrss) and current RSS (they can disagree by 0.2 MB)
 after the imports and each stage of the checkout's worker's first pass, and
@@ -194,9 +195,12 @@ def pairs(args) -> None:
     print(f"sha256: {len(shared)} shared output files, {len(differ)} differ")
     for key in differ:
         print(f"sha256 differs: {key}")
-    for side, label in zip(args.checkouts, ("parent", "change")):
-        print(f"{label} failed items: {sum(r['failed'] for r in results[side])} of "
-              f"{sum(r['attempted'] for r in results[side])}")
+    failed = [sum(r["failed"] for r in results[side]) for side in args.checkouts]
+    for side, label, count in zip(args.checkouts, ("parent", "change"), failed):
+        print(f"{label} failed items: {count} of {sum(r['attempted'] for r in results[side])}")
+    if differ or any(failed):
+        raise SystemExit(f"error: the outputs do not compare: {len(differ)} of {len(shared)} shared output "
+                         f"files differ, {sum(failed)} failed items")
 
 
 def rss(args) -> None:
