@@ -24,7 +24,7 @@ _MODULES = {
                "SeveralAnnotators", "SpanOutOfBounds"),
     "lexicon": ("Lexicon",),
     "lm": ("ArpaModel", "Hypothesis", "count_ngrams", "logprob", "normalized_logprob", "perplexity",
-           "read_arpa", "read_nbest", "rerank", "train_kneser_ney", "write_arpa"),
+           "perplexity_of", "read_arpa", "read_nbest", "rerank", "train_kneser_ney", "write_arpa"),
     "m2": ("read_m2", "write_m2"),
     "score": ("CorpusStats", "ScoreReport", "corpus_stats", "f_beta", "format_stats",
               "group_of", "score_corpus"),

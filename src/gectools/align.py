@@ -23,6 +23,9 @@ TRANSPOSE = "transpose"
 DELETE = "delete"
 INSERT = "insert"
 
+# Tokens each kind consumes on the original and corrected sides.
+_WIDTHS = {MATCH: (1, 1), SUBSTITUTE: (1, 1), TRANSPOSE: (2, 2), DELETE: (1, 0), INSERT: (0, 1)}
+
 # Weights of the substitution cost.  They sum to less than 2, the cost
 # of deleting a token and inserting another, so a substitution can win.
 W_LEMMA = 0.499
@@ -64,10 +67,8 @@ class AlignOp:
     """One step of an alignment path.
 
     o_index/c_index are the cursor positions in the original/corrected
-    sentence when the operation is applied: the tokens consumed are
-    orig[o_index:...] and corr[c_index:...] depending on the kind
-    (transpose consumes two on each side, insert none on the original
-    side, delete none on the corrected side).
+    sentence when the operation is applied: the tokens consumed start
+    there, as many on each side as _WIDTHS gives for the kind.
     """
 
     kind: str
@@ -200,16 +201,9 @@ def align(orig: Sentence, corr: Sentence) -> list[AlignOp]:
     i, j = n, m
     while i > 0 or j > 0:
         kind = op[i][j]
-        if kind in (MATCH, SUBSTITUTE):
-            i -= 1
-            j -= 1
-        elif kind == TRANSPOSE:
-            i -= 2
-            j -= 2
-        elif kind == DELETE:
-            i -= 1
-        else:
-            j -= 1
+        o_width, c_width = _WIDTHS[kind]
+        i -= o_width
+        j -= c_width
         path.append(AlignOp(kind, i, j))
     path.reverse()
     path.extend(AlignOp(MATCH, n + k, m + k) for k in range(suffix))
@@ -245,64 +239,50 @@ class Edit:
         return replace(self, etype=etype)
 
 
-def _make_edit(orig: Sentence, corr: Sentence, o_start, o_end, c_start, c_end) -> Edit:
-    return Edit(
-        o_start=o_start,
-        o_end=o_end,
-        c_start=c_start,
-        c_end=c_end,
-        o_text=" ".join(t.form for t in orig.tokens[o_start:o_end]),
-        c_text=" ".join(t.form for t in corr.tokens[c_start:c_end]),
-    )
-
-
-def _touches_punct(orig: Sentence, corr: Sentence, edit: Edit) -> bool:
-    spans = (
-        orig.tokens[edit.o_start : edit.o_end],
-        corr.tokens[edit.c_start : edit.c_end],
-    )
-    return any(is_punct(t.form) for span in spans for t in span)
-
-
 def merge_ops(ops: list[AlignOp], orig: Sentence, corr: Sentence) -> list[Edit]:
     """Group the alignment path of orig and corr (as align returns it)
     into edits.
 
-    Every maximal run of non-match operations becomes one edit: it
+    Every maximal run of non-match operations becomes one span: it
     starts at the cursor positions of its first operation and ends at
-    those of the match after it, or at the ends of the sentences.  Two
-    edits separated by exactly one matched punctuation token are then
-    merged (bridging the punctuation) when either of them touches
-    punctuation itself.
+    those of the match after it, or at the ends of the sentences.  A
+    span separated from the one before it by exactly one matched
+    punctuation token is joined to it (bridging the punctuation) when
+    either of them touches punctuation itself.
     """
-    edits: list[Edit] = []
+    o_toks, c_toks = orig.tokens, corr.tokens
+    spans: list[list[int]] = []
     run: AlignOp | None = None
-    for step in ops:
+    for step in (*ops, AlignOp(MATCH, len(o_toks), len(c_toks))):
         if step.kind != MATCH:
             if run is None:
                 run = step
-        elif run is not None:
-            edits.append(_make_edit(orig, corr, run.o_index, step.o_index, run.c_index, step.c_index))
-            run = None
-    if run is not None:
-        edits.append(_make_edit(orig, corr, run.o_index, len(orig), run.c_index, len(corr)))
-
-    if not edits:
-        return edits
-    merged = [edits[0]]
-    for edit in edits[1:]:
-        prev = merged[-1]
-        bridged = (
-            edit.o_start == prev.o_end + 1
-            and edit.c_start == prev.c_end + 1
-            and is_punct(orig.tokens[prev.o_end].form)
-            and (_touches_punct(orig, corr, prev) or _touches_punct(orig, corr, edit))
-        )
-        if bridged:
-            merged[-1] = _make_edit(orig, corr, prev.o_start, edit.o_end, prev.c_start, edit.c_end)
-        else:
-            merged.append(edit)
-    return merged
+            continue
+        if run is None:
+            continue
+        o_start, c_start, o_end, c_end = run.o_index, run.c_index, step.o_index, step.c_index
+        run = None
+        if spans:
+            prev = spans[-1]
+            if (
+                o_start == prev[1] + 1
+                and c_start == prev[3] + 1
+                and is_punct(o_toks[prev[1]].form)
+                and any(
+                    is_punct(t.form)
+                    for t in o_toks[prev[0] : prev[1]]
+                    + c_toks[prev[2] : prev[3]]
+                    + o_toks[o_start:o_end]
+                    + c_toks[c_start:c_end]
+                )
+            ):
+                prev[1], prev[3] = o_end, c_end
+                continue
+        spans.append([o_start, o_end, c_start, c_end])
+    return [
+        Edit(o, oe, c, ce, " ".join(t.form for t in o_toks[o:oe]), " ".join(t.form for t in c_toks[c:ce]))
+        for o, oe, c, ce in spans
+    ]
 
 
 def extract_edits(orig: Sentence, corr: Sentence) -> list[Edit]:

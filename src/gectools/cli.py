@@ -278,7 +278,7 @@ def cmd_lm_score(args) -> int:
             total_logprob += lp
             total_tokens += len(sentence) + 1
     if total_tokens:
-        ppl = 10.0 ** (-total_logprob / total_tokens)
+        ppl = lm_mod.perplexity_of(total_logprob, total_tokens)
         print(f"tokens: {total_tokens}  logprob: {total_logprob:.4f}  perplexity: {ppl:.4f}", file=sys.stderr)
     return 0
 

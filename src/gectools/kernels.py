@@ -5,6 +5,14 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 
+def _match_masks(word: str) -> dict[str, int]:
+    """Per character of word, the bit vector of the positions holding it."""
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(word):
+        peq[ch] = peq.get(ch, 0) | 1 << i
+    return peq
+
+
 def _distances(word: str, candidates: Iterable[str]) -> Iterator[int]:
     """Restricted Damerau-Levenshtein distance from word to each candidate.
 
@@ -20,10 +28,7 @@ def _distances(word: str, candidates: Iterable[str]) -> Iterator[int]:
     if m == 0:
         yield from map(len, candidates)
         return
-    peq: dict[str, int] = {}
-    for i, ch in enumerate(word):
-        peq[ch] = peq.get(ch, 0) | 1 << i
-    get = peq.get
+    get = _match_masks(word).get
     full = (1 << m) - 1
     top = 1 << (m - 1)
     for cand in candidates:
@@ -57,21 +62,18 @@ def dl_distance(a: str, b: str) -> int:
 
 
 def lcs_length(a: str, b: str) -> int:
-    """Length of the longest common subsequence of two strings."""
-    n, m = len(a), len(b)
-    if n == 0 or m == 0:
-        return 0
-    prev = [0] * (m + 1)
-    cur = [0] * (m + 1)
-    for i in range(1, n + 1):
-        ca = a[i - 1]
-        for j in range(1, m + 1):
-            if ca == b[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = prev[j] if prev[j] >= cur[j - 1] else cur[j - 1]
-        prev, cur = cur, prev
-    return prev[m]
+    """Length of the longest common subsequence of two strings.
+
+    The bit-vector algorithm of Allison and Dix (1986) as Hyyrö (2004)
+    gives it: the zero bits of v mark where the LCS row over a steps up,
+    and each character of b updates the whole row with one add.
+    """
+    get = _match_masks(a).get
+    v = full = (1 << len(a)) - 1
+    for ch in b:
+        u = v & get(ch, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def scan_distances(word: str, candidates: list[str], max_dist: int) -> list[tuple[str, int]]:

@@ -552,7 +552,8 @@ def read_arpa(source: IO[str]) -> ArpaModel:
             except ValueError:
                 raise MalformedArpa(line_no, f"bad section header: {line!r}") from None
             if not declared:
-                raise MalformedArpa(line_no, "n-gram section before \\data\\ header")
+                missing = "'ngram N=count' lines" if section else "\\data\\ header"
+                raise MalformedArpa(line_no, f"n-gram section before {missing}")
             if not 1 <= current <= len(declared):
                 raise MalformedArpa(line_no, f"unexpected section order {current}")
             if current in headers:
@@ -586,7 +587,7 @@ def read_arpa(source: IO[str]) -> ArpaModel:
     if not saw_end:
         raise MalformedArpa(line_no, "missing \\end\\ marker")
     if not declared:
-        raise MalformedArpa(line_no, "missing \\data\\ header")
+        raise MalformedArpa(line_no, "missing 'ngram N=count' lines" if section else "missing \\data\\ header")
     for n, count in enumerate(declared, start=1):
         if len(tables[n - 1]) != count:
             raise MalformedArpa(
@@ -628,7 +629,16 @@ def perplexity(model: ArpaModel, sentences: Iterable[Sentence]) -> float:
         tokens += len(sentence) + 1
     if tokens == 0:
         raise EmptyInput("cannot compute perplexity of an empty corpus")
-    return 10.0 ** (-total / tokens)
+    return perplexity_of(total, tokens)
+
+
+def perplexity_of(total_logprob: float, tokens: int) -> float:
+    """Perplexity of tokens whose log10 probabilities sum to total_logprob,
+    or inf when it passes float range."""
+    try:
+        return 10.0 ** (-total_logprob / tokens)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import re
 from typing import IO, Iterable
 
 from gectools.align import Edit
-from gectools.errors import MalformedM2, SeveralAnnotators
+from gectools.errors import GecToolsError, MalformedM2, SeveralAnnotators
 from gectools.score import UNTYPED
 from gectools.text import Sentence, Token, blocks, render
 
@@ -25,10 +25,17 @@ _SPAN_NUMBER = re.compile(r"-?[0-9]+")
 
 
 def write_m2(sentence: Sentence, edits: Iterable[Edit], out: IO[str]) -> None:
-    """Write one sentence block."""
+    """Write one sentence block.
+
+    A correction that M2 would read back as another one, holding the
+    field separator ||| or being exactly -NONE- (a deletion), is refused
+    with GecToolsError.
+    """
     out.write(f"S {render(sentence)}".rstrip() + "\n")
     wrote_any = False
     for edit in edits:
+        if "|||" in edit.c_text or edit.c_text == "-NONE-":
+            raise GecToolsError(f"correction {edit.c_text!r} cannot be written to M2")
         label = edit.etype or UNTYPED
         out.write(
             f"A {edit.o_start} {edit.o_end}|||{label}|||{edit.c_text}|||REQUIRED|||-NONE-|||0\n"

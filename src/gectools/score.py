@@ -6,6 +6,7 @@ no part in matching and is only used to attribute counts per type.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -23,12 +24,16 @@ def f_beta(precision: float, recall: float, beta: float = 0.5) -> float:
     """Weighted harmonic mean of precision and recall.
 
     beta < 1 favours precision; beta = 0.5 weighs precision twice as
-    much as recall.
+    much as recall.  A beta whose square overflows gets the limit as beta
+    grows: recall when precision is above 0, else 0.
     """
-    den = beta * beta * precision + recall
+    weight = beta * beta
+    if math.isinf(weight):
+        return recall if precision > 0 else 0.0
+    den = weight * precision + recall
     if den == 0.0:
         return 0.0
-    return (1 + beta * beta) * precision * recall / den
+    return (1 + weight) * precision * recall / den
 
 
 def _key(edit: Edit) -> tuple[int, int, str]:

@@ -455,7 +455,8 @@ def ref_read_arpa(lines: Iterable[str]) -> ArpaModel:
             except ValueError:
                 raise MalformedArpa(line_no, f"bad section header: {line!r}") from None
             if not declared:
-                raise MalformedArpa(line_no, "n-gram section before \\data\\ header")
+                missing = "'ngram N=count' lines" if section else "\\data\\ header"
+                raise MalformedArpa(line_no, f"n-gram section before {missing}")
             if not 1 <= current <= len(declared):
                 raise MalformedArpa(line_no, f"unexpected section order {current}")
             if current in headers:
@@ -497,7 +498,7 @@ def ref_read_arpa(lines: Iterable[str]) -> ArpaModel:
     if not saw_end:
         raise MalformedArpa(last_line_no, "missing \\end\\ marker")
     if not declared:
-        raise MalformedArpa(last_line_no, "missing \\data\\ header")
+        raise MalformedArpa(last_line_no, "missing 'ngram N=count' lines" if section else "missing \\data\\ header")
     for n, count in enumerate(declared, start=1):
         if len(tables[n - 1]) != count:
             raise MalformedArpa(

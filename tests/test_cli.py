@@ -13,6 +13,8 @@ from gectools.cli import _check_ranges, build_parser, main
 from gectools.lm import _ARPA_READ, read_arpa
 from gectools.synth import FilterConfig, SynthConfig
 from tests.conftest import make_clean_lines, make_words
+from tests.test_golden import EXPECTED
+from tests.test_lm import HUGE_PERPLEXITY_ARPA
 
 ORIG = "în cazul unei paciente internată joi\nmergem acasă\n"
 CORR = "în cazul unei paciente internate joi\nmergem acasă\n"
@@ -127,6 +129,12 @@ class TestScoreAndStats:
         write, _ = files
         bad = write("bad.m2", "A 0 1|||T|||x|||REQUIRED|||-NONE-|||0\n")
         assert main(["stats", bad]) == 1
+
+    def test_beta_whose_square_overflows_scores_recall(self, capsys):
+        argv = ["score", str(EXPECTED / "extract_conllu.out"), str(EXPECTED / "extract_plain.out")]
+        assert main([*argv, "--beta", "1e200"]) == 0
+        out = capsys.readouterr().out
+        assert "F1e+200 0.4918" in out and "nan" not in out
 
     def test_stats_output(self, files, capsys):
         ref = self.make_m2(files)
@@ -339,6 +347,13 @@ class TestLmAndRerank:
             assert float(lp) < 0 and float(norm) < 0
         assert "perplexity" in captured.err
 
+    def test_lm_score_perplexity_past_float_range_is_inf(self, tmp_path):
+        returncode, _, stderr = run_cli(
+            tmp_path, {"model.arpa": HUGE_PERPLEXITY_ARPA, "in.txt": "a a\n"}, ["lm-score", "model.arpa", "in.txt"]
+        )
+        assert returncode == 0, stderr
+        assert "perplexity: inf" in stderr and "Traceback" not in stderr
+
     def test_rerank_picks_per_group(self, files, capsys):
         write, _ = files
         model = self.train(files)
@@ -418,6 +433,12 @@ BAD_INPUTS = [
     ("extract-conllu-id-skips-ahead",
      {"o.conllu": "1\tAna\t_\t_\t_\t_\t_\t_\t_\t_\n3\tare\t_\t_\t_\t_\t_\t_\t_\t_\n", "c.conllu": ""},
      ["extract", "o.conllu", "c.conllu", "--conllu"], 1, "o.conllu: line 2: bad token id: '3', expected 2"),
+    # Corrections that M2 would read back as other edits.
+    ("extract-correction-holds-separator", {"o.txt": "a b c\n", "c.txt": "a x|||y c\n"},
+     ["extract", "o.txt", "c.txt"], 1, "correction 'x|||y' cannot be written to M2"),
+    ("extract-correction-is-none-marker",
+     {"o.conllu": "1\tx\tx\tNOUN\t_\t_\t0\t_\t_\t_\n", "c.conllu": "1\t-NONE-\tx\tNOUN\t_\t_\t0\t_\t_\t_\n"},
+     ["extract", "o.conllu", "c.conllu", "--conllu"], 1, "correction '-NONE-' cannot be written to M2"),
     ("lm-score-bad-arpa", {"m.arpa": "not arpa\n", "in.txt": CLEAN},
      ["lm-score", "m.arpa", "in.txt"], 1, "m.arpa: line 1: unexpected line"),
     ("rerank-bad-arpa", {"m.arpa": MODEL.replace("-0.5\t.", "-0.5\t. x"), "nb.txt": "Ana .\t0\n"},

@@ -63,6 +63,17 @@ class TestLcsLength:
         expect = ref_lcs(a, b)
         assert kernels.lcs_length(a, b) == expect
 
+    def test_every_small_pair(self):
+        for a in SMALL:
+            for b in SMALL:
+                assert kernels.lcs_length(a, b) == ref_lcs(a, b), (a, b)
+
+    @given(a=long_words, b=long_words)
+    @settings(max_examples=100, deadline=None)
+    def test_long_strings_match_reference(self, a, b):
+        # Words past 64 characters need bit vectors wider than a machine word.
+        assert kernels.lcs_length(a, b) == ref_lcs(a, b)
+
 
 class TestScanDistances:
     def test_filters_by_max_dist(self):

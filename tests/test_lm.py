@@ -310,6 +310,21 @@ class TestArpaIO:
         assert _arpa_outcome(read_arpa, io.StringIO(text)) == expect
         assert _arpa_outcome(ref_read_arpa, io.StringIO(text)) == expect
 
+    # Each error names the part that is missing: the header, or the
+    # count lines after it.
+    @pytest.mark.parametrize(
+        "text, expect",
+        [
+            ("\\data\\\n\n\\end\\\n", "line 3: missing 'ngram N=count' lines"),
+            ("\\data\\\n\\1-grams:\n-0.3\ta\n\\end\\\n", "line 2: n-gram section before 'ngram N=count' lines"),
+            ("\n\\end\\\n", "line 2: missing \\data\\ header"),
+            ("\\1-grams:\n-0.3\ta\n\\end\\\n", "line 1: n-gram section before \\data\\ header"),
+        ],
+    )
+    def test_error_names_the_missing_part(self, text, expect):
+        assert _arpa_outcome(read_arpa, io.StringIO(text)) == expect
+        assert _arpa_outcome(ref_read_arpa, io.StringIO(text)) == expect
+
     @pytest.mark.parametrize("words", [["a", "b", "c"], ["a", "a\x01", "b"]], ids=["plain", "below-space"])
     def test_sections_sorted_word_by_word(self, words):
         # "a\x01" sorts after "a" as a word, but "a\x01 a" before "a b" as a string.
@@ -835,6 +850,10 @@ class TestParsersRaiseOnlyPackageErrors:
                 pass
 
 
+# Every word costs 10**500, so "a a" has a perplexity past float range.
+HUGE_PERPLEXITY_ARPA = "\\data\\\nngram 1=4\n\n\\1-grams:\n-500\ta\n-500\t</s>\n-99\t<s>\n-500\t<unk>\n\n\\end\\\n"
+
+
 class TestQuerying:
     def test_normalized_divides_by_len_plus_one(self):
         model = train(["a b", "b a"], 2)
@@ -846,6 +865,10 @@ class TestQuerying:
         sents = [sent("a b"), sent("b")]
         total = logprob(model, sents[0]) + logprob(model, sents[1])
         assert perplexity(model, sents) == pytest.approx(10 ** (-total / 5))
+
+    def test_perplexity_past_float_range_is_inf(self):
+        model = read_arpa(io.StringIO(HUGE_PERPLEXITY_ARPA))
+        assert perplexity(model, [sent("a a")]) == math.inf
 
     def test_perplexity_empty_rejected(self):
         model = train(["a b"], 2)

@@ -39,6 +39,10 @@ class TestFBeta:
     def test_beta_half_weighs_precision(self):
         assert f_beta(0.8, 0.2) > f_beta(0.2, 0.8)
 
+    def test_beta_whose_square_overflows_gives_the_limit(self):
+        assert f_beta(0.5, 0.25, 1e200) == 0.25
+        assert f_beta(0.0, 0.25, 1e200) == 0.0
+
     @given(
         p=st.floats(0, 1, allow_nan=False),
         r=st.floats(0, 1, allow_nan=False),
