@@ -65,7 +65,10 @@ def _folded(words: Iterable[str], frequencies: Mapping[str, int]) -> dict[str, i
             raise ValueError(f"frequency given for {word!r}, which is not a word of the lexicon")
         # int() would also truncate 2.7, read True as 1 and "1_0" as 10.
         if isinstance(count, str) and ASCII_DIGITS.fullmatch(count):
-            count = int(count)
+            try:
+                count = int(count)
+            except ValueError:  # more digits than int() converts
+                raise ValueError(f"frequency of {len(count)} digits for {word!r} is too long") from None
         elif not isinstance(count, int) or isinstance(count, bool):
             raise ValueError(f"frequency {count!r} of {word!r} is neither an int nor ASCII digits")
         if count < 0:
@@ -116,8 +119,8 @@ class Lexicon:
         An empty word is skipped; frequencies maps words, folded the same
         way, to their frequencies, each an int or a str of ASCII digits.
         A word that holds whitespace once stripped, a frequency for a word
-        not in words, of another type or below 0, or no word at all raises
-        ValueError.
+        not in words, of another type, below 0 or of more digits than int()
+        converts, or no word at all raises ValueError.
         """
         return cls._holding(_folded(words, frequencies or {}))
 

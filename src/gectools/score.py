@@ -1,7 +1,8 @@
 """Scoring hypothesis edits against reference edits.
 
-Edits match on (original span, replacement text); the error type plays
-no part in matching and is only used to attribute counts per type.
+Each sentence pair adds its counts into per-type running totals
+(`_add_sentence`, which states the matching rule); the corpus totals
+are the sums of the per-type counts.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from gectools.align import Edit
@@ -36,49 +38,60 @@ def f_beta(precision: float, recall: float, beta: float = 0.5) -> float:
     return (1 + weight) * precision * recall / den
 
 
-def _key(edit: Edit) -> tuple[int, int, str]:
-    return (edit.o_start, edit.o_end, edit.c_text)
-
-
-def _by_key(edits: Sequence[Edit]) -> dict[tuple[int, int, str], list[Edit]]:
-    groups: dict[tuple[int, int, str], list[Edit]] = {}
-    for edit in edits:
-        groups.setdefault(_key(edit), []).append(edit)
-    return groups
-
-
-def _match_edits(
-    ref_edits: Sequence[Edit], hyp_edits: Sequence[Edit]
-) -> tuple[list[Edit], list[Edit], list[Edit]]:
-    """Match one sentence's hypothesis edits against its reference edits.
-
-    Returns (matched, missed, unmatched): the reference edits some
-    hypothesis edit matches, the reference edits none matches, and the
-    hypothesis edits that match none.  Matching is multiset-based:
-    duplicate edits must be matched by duplicates on the other side, and
-    among edits with the same key the earlier ones are matched first.
-    Edits come grouped by key, in the order each key first appears.
-    """
-    hyp_by_key = _by_key(hyp_edits)
-    matched: list[Edit] = []
-    missed: list[Edit] = []
-    unmatched: list[Edit] = []
-    for key, redits in _by_key(ref_edits).items():
-        hedits = hyp_by_key.pop(key, [])
-        k = min(len(redits), len(hedits))
-        matched += redits[:k]
-        missed += redits[k:]
-        unmatched += hedits[k:]
-    for hedits in hyp_by_key.values():
-        unmatched += hedits
-    return matched, missed, unmatched
-
-
 @dataclass
 class TypeCounts:
     tp: int = 0
     fp: int = 0
     fn: int = 0
+
+
+_key = attrgetter("o_start", "o_end", "c_text")
+
+
+def _counts(per_type: dict[str, TypeCounts], edit: Edit) -> TypeCounts:
+    # Not setdefault, which would build a TypeCounts for every edit.
+    etype = edit.etype or UNTYPED
+    counts = per_type.get(etype)
+    if counts is None:
+        counts = per_type[etype] = TypeCounts()
+    return counts
+
+
+def _add_sentence(
+    per_type: dict[str, TypeCounts], ref_edits: Sequence[Edit], hyp_edits: Sequence[Edit]
+) -> None:
+    """Add one sentence's counts into per_type, the running counts by type.
+
+    An edit matches on its original span and its correction; the error
+    type plays no part.  Duplicate edits need duplicates on the other
+    side, and among edits with the same span and correction the earlier
+    ones match first.  TP and FN count for the reference edit's type, FP
+    for the hypothesis edit's type.
+    """
+    hyp_left = Counter(map(_key, hyp_edits))
+    for edit in ref_edits:
+        key = _key(edit)
+        if hyp_left[key]:
+            hyp_left[key] -= 1
+            _counts(per_type, edit).tp += 1
+        else:
+            _counts(per_type, edit).fn += 1
+    # hyp_left now counts the unmatched hypothesis edits of each key.
+    # Earlier edits match first, so they are the last ones of their key.
+    for edit in reversed(hyp_edits):
+        key = _key(edit)
+        if hyp_left[key]:
+            hyp_left[key] -= 1
+            _counts(per_type, edit).fp += 1
+
+
+def _prf(tp: int, fp: int, fn: int, beta: float) -> tuple[float, float, float]:
+    # Proposing nothing is perfect precision; having nothing to find is
+    # perfect recall.  An edit-free corpus therefore scores 1.0 across
+    # the board.
+    precision = tp / (tp + fp) if tp + fp > 0 else 1.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 1.0
+    return precision, recall, f_beta(precision, recall, beta)
 
 
 @dataclass(frozen=True)
@@ -96,17 +109,7 @@ class ScoreReport:
 
     def type_prf(self, etype: str) -> tuple[float, float, float]:
         counts = self.per_type[etype]
-        p, r = _precision_recall(counts.tp, counts.fp, counts.fn)
-        return p, r, f_beta(p, r, self.beta)
-
-
-def _precision_recall(tp: int, fp: int, fn: int) -> tuple[float, float]:
-    # Proposing nothing is perfect precision; having nothing to find is
-    # perfect recall.  An edit-free corpus therefore scores 1.0 across
-    # the board.
-    precision = tp / (tp + fp) if tp + fp > 0 else 1.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 1.0
-    return precision, recall
+        return _prf(counts.tp, counts.fp, counts.fn, self.beta)
 
 
 def score_corpus(
@@ -116,44 +119,21 @@ def score_corpus(
 ) -> ScoreReport:
     """Score a corpus of per-sentence edit lists.
 
-    Counts are micro-aggregated over sentences.  Per-type counts
-    attribute true positives and false negatives to the reference
-    edit's type and false positives to the hypothesis edit's type.
+    Counts are micro-aggregated over sentences: the totals are the sums
+    of the per-type counts.
     """
     if len(ref_edit_lists) != len(hyp_edit_lists):
         raise LengthMismatch(
             f"reference has {len(ref_edit_lists)} sentences, "
             f"hypothesis has {len(hyp_edit_lists)}"
         )
-    tp = fp = fn = 0
     per_type: dict[str, TypeCounts] = {}
-
-    def counts_for(edit: Edit) -> TypeCounts:
-        return per_type.setdefault(edit.etype or UNTYPED, TypeCounts())
-
     for ref_edits, hyp_edits in zip(ref_edit_lists, hyp_edit_lists):
-        matched, missed, unmatched = _match_edits(ref_edits, hyp_edits)
-        tp += len(matched)
-        fn += len(missed)
-        fp += len(unmatched)
-        for edit in matched:
-            counts_for(edit).tp += 1
-        for edit in missed:
-            counts_for(edit).fn += 1
-        for edit in unmatched:
-            counts_for(edit).fp += 1
-
-    precision, recall = _precision_recall(tp, fp, fn)
-    return ScoreReport(
-        tp=tp,
-        fp=fp,
-        fn=fn,
-        precision=precision,
-        recall=recall,
-        fscore=f_beta(precision, recall, beta),
-        beta=beta,
-        per_type=per_type,
-    )
+        _add_sentence(per_type, ref_edits, hyp_edits)
+    counts = per_type.values()
+    tp, fp, fn = sum(c.tp for c in counts), sum(c.fp for c in counts), sum(c.fn for c in counts)
+    precision, recall, fscore = _prf(tp, fp, fn, beta)
+    return ScoreReport(tp, fp, fn, precision, recall, fscore, beta, per_type)
 
 
 def group_of(etype: str) -> str:
@@ -180,10 +160,7 @@ class CorpusStats:
 
 
 def corpus_stats(edit_lists: Iterable[Sequence[Edit]]) -> CorpusStats:
-    by_type: Counter[str] = Counter()
-    for edits in edit_lists:
-        for edit in edits:
-            by_type[edit.etype or UNTYPED] += 1
+    by_type = Counter(edit.etype or UNTYPED for edits in edit_lists for edit in edits)
     by_group: Counter[str] = Counter()
     for etype, count in by_type.items():
         by_group[group_of(etype)] += count

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from pathlib import Path
 
@@ -12,6 +13,15 @@ from gectools.lexicon import Lexicon
 from gectools.text import parse_conllu
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment for a child interpreter: this one's, with extra set
+    and src/ first on PYTHONPATH, then any inherited PYTHONPATH."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **extra, "PYTHONPATH": pythonpath}
+
 
 # Syllables with and without diacritics; products of these make a
 # deterministic pseudo-Romanian word list of any size.

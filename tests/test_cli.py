@@ -12,7 +12,7 @@ from gectools import synth
 from gectools.cli import _check_ranges, build_parser, main
 from gectools.lm import _ARPA_READ, read_arpa
 from gectools.synth import FilterConfig, SynthConfig
-from tests.conftest import make_clean_lines, make_words
+from tests.conftest import child_env, make_clean_lines, make_words
 from tests.test_golden import EXPECTED
 from tests.test_lm import HUGE_PERPLEXITY_ARPA
 
@@ -443,6 +443,9 @@ BAD_INPUTS = [
      ["lm-score", "m.arpa", "in.txt"], 1, "m.arpa: line 1: unexpected line"),
     ("rerank-bad-arpa", {"m.arpa": MODEL.replace("-0.5\t.", "-0.5\t. x"), "nb.txt": "Ana .\t0\n"},
      ["rerank", "m.arpa", "nb.txt"], 1, "m.arpa: line 6: gram does not match"),
+    # An entry's fields are tab-separated; spaces separate only the words of a gram.
+    ("lm-score-arpa-space-separated", {"m.arpa": MODEL.replace("\t", " "), "in.txt": CLEAN},
+     ["lm-score", "m.arpa", "in.txt"], 1, "m.arpa: line 5: expected 2 or 3 tab-separated fields, got 1"),
     # ARPA numbers must be finite decimal numbers in ASCII digits.
     *[(f"lm-score-arpa-number-{number}", {"m.arpa": MODEL.replace("-0.5\t.", f"{number}\t."), "in.txt": CLEAN},
        ["lm-score", "m.arpa", "in.txt"], 1, f"m.arpa: line 6: bad numeric field in '{number}\\t.'")
@@ -544,7 +547,7 @@ def run_cli(tmp_path, files_in, argv):
     stdin = files_in.get("-")
     files_in = {name: content for name, content in files_in.items() if name != "-"}
     paths = write_files(tmp_path, files_in)
-    env = None if stdin is None else {**os.environ, "LC_ALL": "C"}
+    env = child_env() if stdin is None else child_env(LC_ALL="C")
     result = subprocess.run(
         [sys.executable, "-m", "gectools.cli", *[paths.get(arg, arg) for arg in argv]],
         input=stdin,
@@ -716,6 +719,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "gectools.cli", "--help"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == 0
         assert "extract" in result.stdout and "rerank" in result.stdout

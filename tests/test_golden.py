@@ -17,12 +17,13 @@ PYTHONHASHSEED values; all runs of a case must print the same bytes.
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from tests.conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -74,11 +75,9 @@ def _runs():
 
 def run(name: str, hash_seed: str, extra: list[str]) -> tuple[bytes, bytes]:
     """(stdout, stderr) of one case, run as `python -m gectools.cli`."""
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": pythonpath}
     result = subprocess.run(
         [sys.executable, "-m", "gectools.cli", *CASES[name], *extra],
-        capture_output=True, env=env, timeout=60,
+        capture_output=True, env=child_env(PYTHONHASHSEED=hash_seed), timeout=60,
     )
     assert result.returncode == 0, result.stderr.decode(errors="replace")
     return result.stdout, result.stderr

@@ -3,23 +3,22 @@ they use.  Every check runs in a fresh interpreter."""
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
-from tests.test_golden import CASES, INPUT, ROOT
+from tests.conftest import child_env
+from tests.test_golden import CASES, INPUT
 
 
 def modules_after(code: str) -> set[str]:
     """The names in sys.modules after code runs in a fresh interpreter."""
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     script = textwrap.dedent(code) + "\nimport sys\nprint(*sys.modules, sep='\\n')\n"
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=child_env(),
     )
     assert result.returncode == 0, result.stderr
     return set(result.stdout.split())

@@ -104,6 +104,14 @@ class TestTableRules:
         with pytest.raises(ValueError, match="neither an int nor ASCII digits"):
             Lexicon.from_words(["casa"], {"casa": freq})
 
+    # Past int()'s 4,300-digit limit, as from_file refuses the same line.
+    def test_a_frequency_of_too_many_digits_names_its_word(self):
+        message = r"^frequency of 5000 digits for 'a' is too long$"
+        with pytest.raises(ValueError, match=message):
+            Lexicon({"a": "1" * 5000})
+        with pytest.raises(ValueError, match=message):
+            Lexicon.from_words(["a"], {"a": "1" * 5000})
+
 
 class TestFileErrors:
     def test_errors_name_the_file_and_dash_is_a_file_name(self, tmp_path, monkeypatch):
