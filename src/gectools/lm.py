@@ -366,9 +366,9 @@ _ARPA_READ = 32 * 1024
 _NOT_LAYOUT = bytes(b for b in range(256) if b not in b"\t\n ")
 
 
-def _parse_entries(data: bytes, n: int, left: int, table: dict[bytes, complex]) -> int:
+def _parse_entries(data: bytes, n: int, table: dict[bytes, complex]) -> int:
     """Add the entries of data to table and return how many there are,
-    when data is 1 to left order-n entry lines that parse whole; else
+    when data is one or more order-n entry lines that parse whole; else
     return 0 and leave table with the grams it had.
 
     data is whole lines: it ends with a newline or holds none.  With
@@ -388,7 +388,7 @@ def _parse_entries(data: bytes, n: int, left: int, table: dict[bytes, complex]) 
     width = 3 if skeleton[n : n + 1] == b"\t" else 2
     line = b"\t" + b" " * (n - 1) + (b"\t\n" if width == 3 else b"\n")
     lines = len(skeleton) // len(line)
-    if not 0 < lines <= left or skeleton != line * lines:
+    if not lines or skeleton != line * lines:
         return 0
     fields = data.replace(b"\n", b"\t").split(b"\t")
     fields.pop()  # the empty field after the last newline
@@ -491,14 +491,13 @@ class _ArpaText:
         if not self._more():
             return 0
         text = self._text[self._pos :]
-        parsed = _parse_entries(text.encode(*_ENCODING), n, left, table)
-        if not parsed and text.count("\n") >= left:
+        # A line the block step takes holds 2n + 2 characters or more (a tab,
+        # n - 1 spaces, a newline, n + 1 fields), so it refuses any left lines
+        # shorter than left * (2n + 2): only a longer text is worth counting.
+        if len(text) >= left * (2 * n + 2) and text.count("\n") >= left:
             # The section may end in this text: offer its first left lines.
-            cut = 0
-            for _ in range(left):
-                cut = text.index("\n", cut) + 1
-            text = text[:cut]
-            parsed = _parse_entries(text.encode(*_ENCODING), n, left, table)
+            text = text[: len(text) - len(text.split("\n", left)[-1])]
+        parsed = _parse_entries(text.encode(*_ENCODING), n, table)
         if parsed:
             self._pos += len(text)
         return parsed
@@ -604,14 +603,11 @@ def _mapped_forms(model: ArpaModel, sentence: Sentence) -> list[str]:
 
 def logprob(model: ArpaModel, sentence: Sentence) -> float:
     """log10 probability of the sentence, </s> included."""
-    words = _mapped_forms(model, sentence) + [EOS]
     width = model.order - 1
-    history = [SOS] * width
+    words = [SOS] * width + _mapped_forms(model, sentence) + [EOS]
     total = 0.0
-    for word in words:
-        context = tuple(history[len(history) - width:]) if width else ()
-        total += model.word_logprob(word, context)
-        history.append(word)
+    for i in range(width, len(words)):
+        total += model.word_logprob(words[i], tuple(words[i - width : i]))
     return total
 
 
@@ -668,7 +664,7 @@ def rerank(
         if length_normalize:
             base = base / max(len(hyp.sentence), 1)
         combined = base + lm_weight * normalized_logprob(model, hyp.sentence)
-        if math.isfinite(combined) and (best is None or combined > best_score):
+        if math.isfinite(combined) and combined > best_score:
             best, best_score = hyp, combined
     if best is None:
         raise NoFiniteScore(

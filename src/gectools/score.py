@@ -8,7 +8,7 @@ are the sums of the per-type counts.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -48,17 +48,8 @@ class TypeCounts:
 _key = attrgetter("o_start", "o_end", "c_text")
 
 
-def _counts(per_type: dict[str, TypeCounts], edit: Edit) -> TypeCounts:
-    # Not setdefault, which would build a TypeCounts for every edit.
-    etype = edit.etype or UNTYPED
-    counts = per_type.get(etype)
-    if counts is None:
-        counts = per_type[etype] = TypeCounts()
-    return counts
-
-
 def _add_sentence(
-    per_type: dict[str, TypeCounts], ref_edits: Sequence[Edit], hyp_edits: Sequence[Edit]
+    per_type: defaultdict[str, TypeCounts], ref_edits: Sequence[Edit], hyp_edits: Sequence[Edit]
 ) -> None:
     """Add one sentence's counts into per_type, the running counts by type.
 
@@ -73,16 +64,16 @@ def _add_sentence(
         key = _key(edit)
         if hyp_left[key]:
             hyp_left[key] -= 1
-            _counts(per_type, edit).tp += 1
+            per_type[edit.etype or UNTYPED].tp += 1
         else:
-            _counts(per_type, edit).fn += 1
+            per_type[edit.etype or UNTYPED].fn += 1
     # hyp_left now counts the unmatched hypothesis edits of each key.
     # Earlier edits match first, so they are the last ones of their key.
     for edit in reversed(hyp_edits):
         key = _key(edit)
         if hyp_left[key]:
             hyp_left[key] -= 1
-            _counts(per_type, edit).fp += 1
+            per_type[edit.etype or UNTYPED].fp += 1
 
 
 def _prf(tp: int, fp: int, fn: int, beta: float) -> tuple[float, float, float]:
@@ -127,13 +118,13 @@ def score_corpus(
             f"reference has {len(ref_edit_lists)} sentences, "
             f"hypothesis has {len(hyp_edit_lists)}"
         )
-    per_type: dict[str, TypeCounts] = {}
+    per_type: defaultdict[str, TypeCounts] = defaultdict(TypeCounts)
     for ref_edits, hyp_edits in zip(ref_edit_lists, hyp_edit_lists):
         _add_sentence(per_type, ref_edits, hyp_edits)
     counts = per_type.values()
     tp, fp, fn = sum(c.tp for c in counts), sum(c.fp for c in counts), sum(c.fn for c in counts)
     precision, recall, fscore = _prf(tp, fp, fn, beta)
-    return ScoreReport(tp, fp, fn, precision, recall, fscore, beta, per_type)
+    return ScoreReport(tp, fp, fn, precision, recall, fscore, beta, dict(per_type))
 
 
 def group_of(etype: str) -> str:

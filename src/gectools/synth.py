@@ -201,7 +201,6 @@ class ConfusionProvider:
         freq = self.lexicon.freq
         near = self._neighbours(word) & self.lexicon.words
         near.discard(word)
-        near.discard("")  # the scan never looks at words shorter than 1
         scored = sorted((1, -freq(cand), cand) for cand in near)
         if max_dist > 1 and not 0 <= k <= len(scored):
             # Byte tables mapping a word's count v of a letter to
@@ -344,32 +343,31 @@ def corrupt_sentence(
     # (original position, or None for an inserted word; current form)
     slots: list[tuple[int | None, str]] = list(enumerate(t.form for t in sentence.tokens))
 
-    if n_changed > 0:
-        for pos in rng.sample(range(n), n_changed):
-            op = _draw_op(rng)
-            stats.word_ops[op] += 1
-            # The sampled positions are distinct and a delete removes only
-            # the current slot, so each position still has its slot here.
-            cur = next(i for i, (orig, _) in enumerate(slots) if orig == pos)
-            if op == "substitute":
-                candidates = provider.confusion_set(slots[cur][1], cfg.confusion_size)
-                if candidates:
-                    slots[cur] = (pos, candidates[rng.randrange(len(candidates))])
-                else:
-                    stats.no_candidate_subs += 1
-            elif op == "delete":
-                del slots[cur]
-            elif op == "insert":
-                slots.insert(cur + 1, (None, provider.random_word(rng)))
-            else:  # swap with the next word, or the previous one when last
-                if len(slots) < 2:
-                    continue
-                other = cur + 1 if cur + 1 < len(slots) else cur - 1
-                slots[cur], slots[other] = slots[other], slots[cur]
+    for pos in rng.sample(range(n), n_changed):
+        op = _draw_op(rng)
+        stats.word_ops[op] += 1
+        # The sampled positions are distinct and a delete removes only
+        # the current slot, so each position still has its slot here.
+        cur = next(i for i, (orig, _) in enumerate(slots) if orig == pos)
+        if op == "substitute":
+            candidates = provider.confusion_set(slots[cur][1], cfg.confusion_size)
+            if candidates:
+                slots[cur] = (pos, candidates[rng.randrange(len(candidates))])
+            else:
+                stats.no_candidate_subs += 1
+        elif op == "delete":
+            del slots[cur]
+        elif op == "insert":
+            slots.insert(cur + 1, (None, provider.random_word(rng)))
+        else:  # swap with the next word, or the previous one when last
+            if len(slots) < 2:
+                continue
+            other = cur + 1 if cur + 1 < len(slots) else cur - 1
+            slots[cur], slots[other] = slots[other], slots[cur]
 
     work = [form for _, form in slots]
     n_char = _round_half_away(cfg.char_word_rate * len(work))
-    if n_char > 0 and work:
+    if n_char > 0:
         for pos in rng.sample(range(len(work)), min(n_char, len(work))):
             op = _draw_op(rng)
             stats.char_ops[op] += 1

@@ -615,6 +615,57 @@ class TestReadArpaFastPath:
         assert got == _arpa_outcome(ref_read_arpa, io.StringIO(text))
         assert [len(table) for table in got[1]] == [len(table) for table in model.tables]
 
+    def test_one_block_step_per_chunk(self, monkeypatch):
+        # The chunk that holds a section's end is cut there before it is
+        # parsed, so no block step is refused and none is repeated.
+        model = train(make_clean_lines(300, make_words(400), seed=3), 3)
+        buf = io.StringIO()
+        write_arpa(model, buf)
+        text = buf.getvalue()
+        sections = [section.split("\n\n")[0] for section in text.split("-grams:\n")[1:]]
+        monkeypatch.setattr(lm, "_ARPA_READ", min(map(len, sections)) // 3)
+        parse_entries = lm._parse_entries
+        returns = []
+
+        def counted(*args):
+            returns.append(parse_entries(*args))
+            return returns[-1]
+
+        monkeypatch.setattr(lm, "_parse_entries", counted)
+        got = _arpa_outcome(read_arpa, io.StringIO(text))
+        assert len(returns) >= 3 * len(sections)
+        assert 0 not in returns, returns
+        assert got == _arpa_outcome(ref_read_arpa, io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "counts, sections, message",
+        [
+            ("ngram 1=4\n", "\\1-grams:\n-1\ta\n\n\n\n", "line 8: section 1 has 1 entries, header declared 4"),
+            (
+                "ngram 1=1\nngram 2=3\n",
+                "\\1-grams:\n-1\ta\n\\2-grams:\n-1\ta b\nx\n\n",
+                "line 8: expected 2 or 3 tab-separated fields, got 1",
+            ),
+        ],
+        ids=["blank-lines", "a-bad-line"],
+    )
+    def test_a_text_too_short_for_left_entry_lines_is_offered_whole(self, monkeypatch, counts, sections, message):
+        # The last section's text holds as many lines as it has entries
+        # left, but fewer than 2n + 2 characters for each: it is not cut,
+        # and the block step refuses it whole.
+        text = f"\\data\\\n{counts}{sections}\\end\\\n"
+        parse_entries = lm._parse_entries
+        offered = []
+
+        def recorded(data, n, table):
+            offered.append(data)
+            return parse_entries(data, n, table)
+
+        monkeypatch.setattr(lm, "_parse_entries", recorded)
+        assert _arpa_outcome(read_arpa, io.StringIO(text)) == message
+        assert _arpa_outcome(ref_read_arpa, io.StringIO(text)) == message
+        assert offered[-1].endswith(b"\\end\\\n")
+
 
 class TestReadArpaRepeats:
     """A gram listed twice in its section, or a section header given

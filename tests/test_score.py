@@ -132,6 +132,14 @@ class TestScoreCorpus:
         report = score_corpus([[edit(0, 1, "a")]], [[]])
         assert report.per_type["UNK"].fn == 1
 
+    def test_per_type_is_a_plain_dict(self):
+        # Looking up a type no edit has adds nothing and raises.
+        report = score_corpus([[edit(0, 1, "a", "ORTH")]], [[]])
+        assert type(report.per_type) is dict
+        with pytest.raises(KeyError):
+            report.type_prf("SPELL")
+        assert list(report.per_type) == ["ORTH"]
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             score_corpus([[]], [[], []])
